@@ -94,8 +94,16 @@ pid_t spawn_runner(const std::vector<std::string>& argv) {
                  std::strerror(errno));
     _exit(127);
   }
+  // Also from the parent, so the group exists before signal_group can
+  // race the child's own setpgid.
+  ::setpgid(pid, pid);
   return pid;
 }
+
+/// Signals a runner's whole process group: the runner and everything it
+/// spawned (isolated workers, helper processes), so no descendant
+/// outlives a drain, a revocation or a lost speculative race.
+void signal_group(pid_t runner, int sig) { ::kill(-runner, sig); }
 
 enum class ShardState { kPending, kRunning, kBackoff, kDone, kResumable,
                         kFailed };
@@ -391,8 +399,10 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
 
   const auto signal_running = [&](int sig) {
     for (Shard& s : shards) {
-      if (s.state == ShardState::kRunning && s.pid > 0) ::kill(s.pid, sig);
-      if (s.spec_pid > 0) ::kill(s.spec_pid, sig);
+      if (s.state == ShardState::kRunning && s.pid > 0) {
+        signal_group(s.pid, sig);
+      }
+      if (s.spec_pid > 0) signal_group(s.spec_pid, sig);
     }
   };
 
@@ -432,7 +442,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
               std::fprintf(log, "[dispatch] shard %u/%u complete\n", s.id,
                            options.shards);
               if (s.spec_pid > 0) {
-                ::kill(s.spec_pid, SIGTERM);
+                signal_group(s.spec_pid, SIGTERM);
                 reap_blocking(s.spec_pid);
                 s.spec_pid = -1;
               }
@@ -460,7 +470,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
                 "[dispatch] shard %u/%u lease stale (%.1fs > %.1fs); "
                 "revoking\n",
                 s.id, options.shards, age, options.stale_after_s);
-            ::kill(s.pid, SIGKILL);
+            signal_group(s.pid, SIGKILL);
             reap_blocking(s.pid);
             s.pid = -1;
             redispatch(s, "stale lease");
@@ -513,7 +523,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
                      "[dispatch] shard %u/%u speculative duplicate won\n",
                      s.id, options.shards);
         if (s.pid > 0) {
-          ::kill(s.pid, SIGTERM);
+          signal_group(s.pid, SIGTERM);
           reap_blocking(s.pid);
           s.pid = -1;
         }
@@ -523,9 +533,12 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
       // under the normal supervision rules.
     }
 
-    if (now - last_status >=
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(options.heartbeat_period_s))) {
+    // Added to last_status rather than subtracted from now: the initial
+    // time_point::min() would overflow the subtraction.
+    if (now >= last_status +
+                   std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double>(
+                           options.heartbeat_period_s))) {
       write_status("running");
     }
 

@@ -9,8 +9,17 @@ namespace sbst::fault {
 
 using sim::Word;
 
-void aggregate_seed_forces(const std::vector<detail::Injection>& list,
-                           std::vector<SeedForce>* out) {
+namespace {
+
+/// One good-trace bit of a tiled cycle base, as 0/1.
+inline unsigned trace_bit(const Word* base, nl::GateId g) {
+  return static_cast<unsigned>((base[(g >> 6) << 3] >> (g & 63)) & 1);
+}
+
+}  // namespace
+
+void EventKernel::aggregate_seed_forces(
+    const std::vector<detail::Injection>& list, std::vector<SeedForce>* out) {
   out->clear();
   for (const detail::Injection& i : list) {
     SeedForce* f = nullptr;
@@ -32,6 +41,34 @@ void aggregate_seed_forces(const std::vector<detail::Injection>& list,
   }
 }
 
+EventKernel::Site EventKernel::make_site(const nl::Gate& gate, nl::GateId g,
+                                         std::uint32_t level,
+                                         const detail::GateForce& f) {
+  // Missing pins read 0 in every evaluator, so their LUT bit is held at
+  // 0 and the rows that differ only in it coincide: any probe is exact.
+  const bool u1 = gate.in[1] != nl::kNoGate;
+  const bool u2 = gate.in[2] != nl::kNoGate;
+  Site s;
+  s.gate = g;
+  s.level = level;
+  s.pin[0] = gate.in[0];
+  s.pin[1] = u1 ? gate.in[1] : gate.in[0];
+  s.pin[2] = u2 ? gate.in[2] : gate.in[0];
+  for (unsigned ix = 0; ix < 8; ++ix) {
+    const Word a = Word{0} - (ix & 1);
+    const Word b = u1 ? Word{0} - ((ix >> 1) & 1) : 0;
+    const Word c = u2 ? Word{0} - ((ix >> 2) & 1) : 0;
+    const Word good = sim::eval_gate(gate.kind, a, b, c);
+    const Word w = (sim::eval_gate(gate.kind, (a | f.set[1]) & ~f.clr[1],
+                                   (b | f.set[2]) & ~f.clr[2],
+                                   (c | f.set[3]) & ~f.clr[3]) |
+                    f.set[0]) &
+                   ~f.clr[0];
+    s.dv[ix] = w ^ good;
+  }
+  return s;
+}
+
 EventKernel::EventKernel(const nl::Netlist& netlist,
                          const nl::Levelization& lv,
                          const std::vector<nl::GateId>& po_bits,
@@ -42,12 +79,24 @@ EventKernel::EventKernel(const nl::Netlist& netlist,
   for (nl::GateId b : po_bits) {
     if (b < n) is_po_[b] = 1;
   }
-  v_.assign(n, 0);
-  mark_.assign(n, 0);
+  fanout_level_.resize(lv.fanout.size());
+  for (std::size_t e = 0; e < lv.fanout.size(); ++e) {
+    const nl::GateId c = lv.fanout[e];
+    fanout_level_[e] =
+        netlist.gate(c).kind == nl::GateKind::kDff ? 0 : lv.level[c];
+  }
+  // Per-level arena segments: combinational gates sit at levels >= 1.
+  bucket_begin_.assign(static_cast<std::size_t>(lv.max_level) + 2, 0);
+  for (nl::GateId g : lv.comb_order) ++bucket_begin_[lv.level[g] + 1];
+  for (std::size_t l = 1; l < bucket_begin_.size(); ++l) {
+    bucket_begin_[l] += bucket_begin_[l - 1];
+  }
+  bucket_end_ = bucket_begin_;
+  arena_.resize(lv.comb_order.size());
+  slot_.assign(n, Slot{0, 0});
   seen_.assign(n, 0);
   queued_.assign(n, 0);
   cand_mark_.assign(n, 0);
-  buckets_.resize(static_cast<std::size_t>(lv.max_level) + 1);
 }
 
 void EventKernel::simulate(const detail::InjectionTable& inj, int count,
@@ -59,13 +108,15 @@ void EventKernel::simulate(const detail::InjectionTable& inj, int count,
   const Word all_mask = (Word{1} << count) - 1;  // count <= 63
 
   // Partition this group's injection sites.
-  comb_injected_.clear();
+  sites_.clear();
   dffd_gates_.clear();
   for (nl::GateId g : inj.slotted_gates()) {
-    if (netlist_->gate(g).kind == nl::GateKind::kDff) {
+    const nl::Gate& gate = netlist_->gate(g);
+    if (gate.kind == nl::GateKind::kDff) {
       dffd_gates_.push_back(g);
     } else {
-      comb_injected_.push_back(g);
+      sites_.push_back(
+          make_site(gate, g, lv_->level[g], inj.force_record(inj.slot(g))));
     }
   }
   aggregate_seed_forces(inj.sources(), &src_forces_);
@@ -75,6 +126,13 @@ void EventKernel::simulate(const detail::InjectionTable& inj, int count,
   next_diverged_.clear();
   dff_cands_.clear();
 
+  Slot* const slot = slot_.data();
+  const std::uint32_t* const fo_off = lv_->fanout_offset.data();
+  const nl::GateId* const fo = lv_->fanout.data();
+  const std::uint32_t* const fo_lvl = fanout_level_.data();
+  nl::GateId* const arena = arena_.data();
+  std::uint32_t* const bend = bucket_end_.data();
+
   Word detected = 0;
   // Machines still awaiting a verdict. Divergence is masked with this
   // before it propagates: once a machine is detected, its detection
@@ -83,6 +141,8 @@ void EventKernel::simulate(const detail::InjectionTable& inj, int count,
   // its wavefront collapses immediately — the event-driven form of
   // fault dropping. Results stay bit-identical by construction.
   Word live = all_mask;
+  std::uint64_t evals = 0;
+  std::uint64_t kind_evals[nl::kNumCompiledOps] = {0, 0, 0, 0};
   std::uint64_t cycle = 0;
   for (; cycle < T; ++cycle) {
     // Same amortized watchdog cadence and verdict as the sweep kernel.
@@ -102,22 +162,25 @@ void EventKernel::simulate(const detail::InjectionTable& inj, int count,
     // Value of a net as the faulty machines see it this cycle: the
     // diverged word when one was computed, otherwise the good broadcast.
     auto value_of = [&](nl::GateId d) -> Word {
-      return mark_[d] == st ? v_[d] : GoodTrace::broadcast_bit(plane, d);
+      const Slot& s = slot[d];
+      return s.mark == st ? s.v : GoodTrace::broadcast_bit(plane, d);
+    };
+    auto enqueue = [&](nl::GateId g, std::uint32_t lvl) {
+      if (queued_[g] == st) return;
+      queued_[g] = st;
+      arena[bend[lvl]++] = g;
+      if (lvl > lvl_hi) lvl_hi = lvl;
     };
     auto schedule_consumers = [&](nl::GateId g) {
-      for (nl::GateId c : lv_->consumers(g)) {
-        if (netlist_->gate(c).kind == nl::GateKind::kDff) {
+      for (std::uint32_t e = fo_off[g]; e < fo_off[g + 1]; ++e) {
+        const nl::GateId c = fo[e];
+        if (const std::uint32_t lvl = fo_lvl[e]; lvl != 0) {
+          enqueue(c, lvl);
+        } else if (cand_mark_[c] != st) {
           // Flip-flops do not propagate combinationally; they become
           // re-clock candidates at this cycle's edge.
-          if (cand_mark_[c] != st) {
-            cand_mark_[c] = st;
-            dff_cands_.push_back(c);
-          }
-        } else if (queued_[c] != st) {
-          queued_[c] = st;
-          const std::uint32_t lvl = lv_->level[c];
-          buckets_[lvl].push_back(c);
-          if (lvl > lvl_hi) lvl_hi = lvl;
+          cand_mark_[c] = st;
+          dff_cands_.push_back(c);
         }
       }
     };
@@ -126,63 +189,58 @@ void EventKernel::simulate(const detail::InjectionTable& inj, int count,
     auto seed = [&](nl::GateId g) {
       if (seen_[g] == st) return;
       seen_[g] = st;
-      const Word dv = (v_[g] ^ GoodTrace::broadcast_bit(plane, g)) & live;
+      const Word dv =
+          (slot[g].v ^ GoodTrace::broadcast_bit(plane, g)) & live;
       if (dv == 0) return;
       if (is_po_[g]) po_acc |= dv;
       schedule_consumers(g);
     };
 
     // 1. Carry diverged flip-flop state into this cycle.
-    for (const auto& [g, w] : diverged_dffs_) {
-      v_[g] = w;
-      mark_[g] = st;
-    }
+    for (const auto& [g, w] : diverged_dffs_) slot[g] = {w, st};
     // 2. Re-force Q-output and source-gate injections against this
     //    cycle's good values (forcing can create or mask divergence,
     //    and sweep semantics re-apply these forces every cycle).
     for (const SeedForce& f : q_forces_) {
-      const Word base =
-          mark_[f.gate] == st ? v_[f.gate]
-                              : GoodTrace::broadcast_bit(plane, f.gate);
-      v_[f.gate] = (base | f.set) & ~f.clr;
-      mark_[f.gate] = st;
+      slot[f.gate] = {(value_of(f.gate) | f.set) & ~f.clr, st};
     }
     for (const SeedForce& f : src_forces_) {
-      v_[f.gate] =
-          (GoodTrace::broadcast_bit(plane, f.gate) | f.set) & ~f.clr;
-      mark_[f.gate] = st;
+      slot[f.gate] = {
+          (GoodTrace::broadcast_bit(plane, f.gate) | f.set) & ~f.clr, st};
     }
     // 3. Schedule the fanout of every diverged seed.
     for (const auto& [g, w] : diverged_dffs_) seed(g);
     for (const SeedForce& f : q_forces_) seed(f.gate);
     for (const SeedForce& f : src_forces_) seed(f.gate);
-    // 4. Injected combinational gates force machine bits every cycle
-    //    regardless of input divergence, so they are always evaluated.
-    for (nl::GateId g : comb_injected_) {
-      if (queued_[g] != st) {
-        queued_[g] = st;
-        const std::uint32_t lvl = lv_->level[g];
-        buckets_[lvl].push_back(g);
-        if (lvl > lvl_hi) lvl_hi = lvl;
+    // 4. Queue the injected combinational gates that can diverge from
+    //    the good machine with their current inputs: an excited fault
+    //    (LUT over the good fanin bits), or a fanin already carrying a
+    //    seeded value. Any other site can only be woken later in the
+    //    wavefront, by the consumer edge of a diverged fanin.
+    for (const Site& s : sites_) {
+      const unsigned ix = trace_bit(plane, s.pin[0]) |
+                          (trace_bit(plane, s.pin[1]) << 1) |
+                          (trace_bit(plane, s.pin[2]) << 2);
+      if ((s.dv[ix] & live) != 0 || slot[s.pin[0]].mark == st ||
+          slot[s.pin[1]].mark == st || slot[s.pin[2]].mark == st) {
+        enqueue(s.gate, s.level);
       }
     }
 
     // 5. Levelized wavefront: evaluate scheduled gates; a gate whose
     //    word matches the good broadcast stops propagating. lvl_hi can
     //    grow while iterating (consumers always sit at higher levels).
-    std::uint64_t evals = 0;
     for (std::uint32_t lvl = 1; lvl <= lvl_hi; ++lvl) {
-      std::vector<nl::GateId>& bucket = buckets_[lvl];
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        const nl::GateId g = bucket[i];
+      const std::uint32_t begin = bucket_begin_[lvl];
+      for (std::uint32_t i = begin; i < bend[lvl]; ++i) {
+        const nl::GateId g = arena[i];
         const nl::Gate& gate = netlist_->gate(g);
         Word a = value_of(gate.in[0]);
         Word b = gate.in[1] == nl::kNoGate ? 0 : value_of(gate.in[1]);
         Word c = gate.in[2] == nl::kNoGate ? 0 : value_of(gate.in[2]);
         Word w;
-        if (const std::uint32_t slot = inj.slot(g); slot != 0)
-            [[unlikely]] {
-          const detail::GateForce& f = inj.force_record(slot);
+        if (const std::uint32_t s = inj.slot(g); s != 0) [[unlikely]] {
+          const detail::GateForce& f = inj.force_record(s);
           a = (a | f.set[1]) & ~f.clr[1];
           b = (b | f.set[2]) & ~f.clr[2];
           c = (c | f.set[3]) & ~f.clr[3];
@@ -190,20 +248,17 @@ void EventKernel::simulate(const detail::InjectionTable& inj, int count,
         } else {
           w = sim::eval_gate(gate.kind, a, b, c);
         }
-        v_[g] = w;
-        mark_[g] = st;
-        ++evals;
-        ++stats_.evals_by_kind[static_cast<std::size_t>(
-            nl::op_class(gate.kind))];
+        slot[g] = {w, st};
+        ++kind_evals[static_cast<std::size_t>(nl::op_class(gate.kind))];
         const Word dv = (w ^ GoodTrace::broadcast_bit(plane, g)) & live;
         if (dv != 0) {
           if (is_po_[g]) po_acc |= dv;
           schedule_consumers(g);
         }
       }
-      bucket.clear();
+      evals += bend[lvl] - begin;
+      bend[lvl] = begin;
     }
-    stats_.gates_evaluated += evals;
     ++stats_.cycles;
 
     // 6. Detection — identical to the sweep kernel's po_diff handling.
@@ -240,8 +295,8 @@ void EventKernel::simulate(const detail::InjectionTable& inj, int count,
       for (nl::GateId g : dff_cands_) {
         const nl::GateId d = netlist_->gate(g).in[0];
         Word next = value_of(d);
-        if (const std::uint32_t slot = inj.slot(g); slot != 0) {
-          const detail::GateForce& f = inj.force_record(slot);
+        if (const std::uint32_t s = inj.slot(g); s != 0) {
+          const detail::GateForce& f = inj.force_record(s);
           next = (next | f.set[1]) & ~f.clr[1];
         }
         // Good next state of a DFF is the good machine's D value now.
@@ -255,6 +310,10 @@ void EventKernel::simulate(const detail::InjectionTable& inj, int count,
     }
   }
 
+  stats_.gates_evaluated += evals;
+  for (std::size_t i = 0; i < nl::kNumCompiledOps; ++i) {
+    stats_.evals_by_kind[i] += kind_evals[i];
+  }
   rec->detected_mask = detected;
   rec->cycles = cycle;
 }

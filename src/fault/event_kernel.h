@@ -8,13 +8,29 @@
 //              where any gate not evaluated at cycle t has divergence 0
 //              and is reconstructed from the trace on demand.
 //
-// Per cycle, events are seeded at the group's injection sites and at
-// flip-flops whose state diverged on an earlier clock edge; they
+// Per cycle, events are seeded at the group's excited injection sites
+// and at flip-flops whose state diverged on an earlier clock edge; they
 // propagate forward through the netlist's CSR fanout index in levelized
 // order, and a gate whose recomputed word equals the good broadcast
 // stops the wavefront. Because fault dropping removes detected machines
 // quickly, the surviving divergence cones are tiny on most cycles and
 // per-group cost collapses from O(gates x cycles) to O(activity).
+//
+// Two structures keep the per-event cost flat:
+//
+//   * level-tagged fanout: every consumer edge carries its level (0 for
+//     a flip-flop) in an array parallel to the levelization's fanout
+//     CSR, and the worklist is one flat arena cut into per-level
+//     segments sized from the levelization, so scheduling touches
+//     neither the gate records nor the level table;
+//   * excitation LUTs: each injected combinational gate gets a
+//     per-group 8-entry table of its forced output's divergence from
+//     the good output, indexed by its good fanin bits. A site is queued
+//     at the start of a cycle only when that divergence has a live lane
+//     or a fanin already carries divergence; an unexcited fault costs
+//     three trace-bit reads per cycle. A site whose fanin diverges later
+//     in the wavefront is queued by that fanin's consumer edge and
+//     evaluated in full.
 //
 // The kernel is bit-identical to the sweep kernel: same detection masks,
 // detect cycles, fault dropping, cycle accounting and watchdog cadence.
@@ -43,20 +59,6 @@ struct KernelDeadlines {
       std::chrono::steady_clock::time_point::max();
 };
 
-/// One injection site's aggregated set/clear masks, re-forced against
-/// the good trace every cycle (sources and DFF Q outputs). Shared by
-/// both event-kernel flavors.
-struct SeedForce {
-  nl::GateId gate;
-  sim::Word set;
-  sim::Word clr;
-};
-
-/// Folds an injection list (inj.sources() / inj.dff_q()) into one
-/// SeedForce per distinct gate.
-void aggregate_seed_forces(const std::vector<detail::Injection>& list,
-                           std::vector<SeedForce>* out);
-
 /// Per-worker differential simulator state. Not thread-safe; the trace
 /// is immutable and shared. `netlist` and `lv` must outlive the kernel.
 class EventKernel {
@@ -76,20 +78,57 @@ class EventKernel {
  private:
   using Word = sim::Word;
 
+  /// One injection site's aggregated set/clear masks, re-forced against
+  /// the good trace every cycle (sources and DFF Q outputs).
+  struct SeedForce {
+    nl::GateId gate;
+    Word set;
+    Word clr;
+  };
+
+  /// Per-group record of one injected combinational gate.
+  struct Site {
+    nl::GateId gate;
+    std::uint32_t level;
+    /// Fanin gates probed for the LUT index; a missing pin repeats
+    /// pin[0] (its LUT bit is ignored: the table holds it at 0).
+    nl::GateId pin[3];
+    /// Forced output XOR good output, by good fanin bits (pin p = bit p).
+    Word dv[8];
+  };
+
+  static void aggregate_seed_forces(
+      const std::vector<detail::Injection>& list,
+      std::vector<SeedForce>* out);
+  static Site make_site(const nl::Gate& gate, nl::GateId g,
+                        std::uint32_t level, const detail::GateForce& f);
+
+  /// Diverged value of a gate plus the stamp it is valid for, fused so
+  /// a fanin read touches one cache line.
+  struct Slot {
+    Word v;
+    std::uint64_t mark;
+  };
+
   const nl::Netlist* netlist_;
   const nl::Levelization* lv_;
   std::shared_ptr<const GoodTrace> trace_;
   std::vector<std::uint8_t> is_po_;
+  /// Level of each consumer edge of lv_->fanout (0 = flip-flop D pin).
+  std::vector<std::uint32_t> fanout_level_;
 
   // Per-cycle scratch, validity tracked by monotone stamps (never reset,
   // so state is trivially clean across cycles and groups).
   std::uint64_t stamp_ = 0;
-  std::vector<Word> v_;
-  std::vector<std::uint64_t> mark_;       // v_[g] valid for this stamp
+  std::vector<Slot> slot_;
   std::vector<std::uint64_t> seen_;       // seed processed this stamp
   std::vector<std::uint64_t> queued_;     // in a level bucket this stamp
   std::vector<std::uint64_t> cand_mark_;  // DFF candidate this stamp
-  std::vector<std::vector<nl::GateId>> buckets_;  // indexed by level
+  // Flat worklist: level L's bucket is arena_[bucket_begin_[L] ..
+  // bucket_end_[L]); a level never holds more gates than it has.
+  std::vector<nl::GateId> arena_;
+  std::vector<std::uint32_t> bucket_begin_;
+  std::vector<std::uint32_t> bucket_end_;
   std::vector<nl::GateId> dff_cands_;
 
   // Sparse diverged flip-flop state carried across clock edges.
@@ -97,7 +136,7 @@ class EventKernel {
   std::vector<std::pair<nl::GateId, Word>> next_diverged_;
 
   // Per-group injection site partition (rebuilt by simulate()).
-  std::vector<nl::GateId> comb_injected_;  // slotted comb gates
+  std::vector<Site> sites_;                // injected comb gates
   std::vector<nl::GateId> dffd_gates_;     // D-pin-injected DFFs
   std::vector<SeedForce> src_forces_;      // PI/const, aggregated per gate
   std::vector<SeedForce> q_forces_;        // DFF Q-output, aggregated

@@ -99,10 +99,9 @@ struct GroupRecord {
   /// Gate evaluations split by compiled base op (AND/OR/XOR/MUX, in
   /// nl::CompiledOp order; inverting kinds fold into their base op, BUFs
   /// into the gate they forward). Sums to gates_evaluated. Sweep-kernel
-  /// tallies are a pure function of (netlist, cycles) and therefore
-  /// bit-stable across kernel flavors; event-kernel tallies count the
-  /// evaluations actually performed. Zero for records journaled before
-  /// this accounting existed.
+  /// tallies are a pure function of (netlist, cycles); event-kernel
+  /// tallies count the evaluations actually performed. Zero for records
+  /// journaled before this accounting existed.
   std::array<std::uint64_t, nl::kNumCompiledOps> evals_by_kind = {0, 0, 0, 0};
 };
 
@@ -117,19 +116,6 @@ enum class Engine : std::uint8_t {
   kEvent,
   /// Full levelized sweep of every gate each cycle (historical engine).
   kSweep,
-};
-
-/// Inner-loop implementation selection, orthogonal to Engine. Both
-/// flavors are bit-identical in every verdict and every deterministic
-/// counter; the campaign fingerprint deliberately excludes the flavor,
-/// so journals written under one resume under the other. kInterp is the
-/// escape hatch (and the differential-testing reference).
-enum class KernelFlavor : std::uint8_t {
-  /// Compiled SoA program (nl::CompiledNetlist): branch-free per-run
-  /// sweeps, folded inversions/BUF chains, compiled fanout CSR.
-  kCompiled,
-  /// Original per-gate interpreted kernels.
-  kInterp,
 };
 
 /// Snapshot passed to the progress callback after each resolved group.
@@ -147,9 +133,6 @@ struct FaultSimOptions {
   std::uint64_t max_cycles = 1'000'000;
   /// Kernel used to simulate fault groups; see Engine.
   Engine engine = Engine::kEvent;
-  /// Inner-loop flavor for either engine; see KernelFlavor. Results are
-  /// bit-identical across flavors (not part of the fingerprint).
-  KernelFlavor kernel = KernelFlavor::kCompiled;
   /// Memory cap for the event engine's recorded good trace, in MiB
   /// (0 = unlimited). One packed bit per gate per cycle; exceeding the
   /// cap silently falls back to the sweep kernel for the whole run

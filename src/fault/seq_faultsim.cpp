@@ -10,7 +10,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "fault/compiled_event_kernel.h"
 #include "fault/event_kernel.h"
 #include "fault/faultsim.h"
 #include "fault/good_trace.h"
@@ -74,7 +73,7 @@ struct CompiledFixups {
   }
 };
 
-/// Compiled-flavor fault-aware sweep: branch-free per-run evaluation,
+/// Compiled fault-aware sweep: branch-free per-run evaluation,
 /// with the handful of injected gates re-evaluated interpretively at the
 /// end of their level (their consumers sit at strictly higher levels, so
 /// the fixup lands before anything reads the forced word). Operands are
@@ -285,7 +284,6 @@ struct GroupSimulator::Impl {
   EnvFactory make_env;
   std::uint64_t max_cycles;
   std::uint64_t group_timeout_ms;
-  KernelFlavor kernel;
   std::chrono::steady_clock::time_point run_deadline =
       std::chrono::steady_clock::time_point::max();
   // Campaign-shared compiled program (compiled privately when the caller
@@ -297,18 +295,15 @@ struct GroupSimulator::Impl {
   // Per-cycle static sweep tallies: how many comb gates of each base-op
   // class one full sweep evaluates (folded BUFs class as the AND lane
   // they forward through). A pure function of the netlist, so sweep
-  // evals_by_kind stays bit-stable across kernel flavors.
+  // evals_by_kind does not depend on which sweep evaluator ran.
   std::array<std::uint64_t, nl::kNumCompiledOps> sweep_kinds_per_cycle = {
       0, 0, 0, 0};
   CompiledFixups fixups;
   // Event-engine state: the campaign-shared trace source (null = sweep),
-  // the flavor-selected differential kernel built on first successful
-  // trace fetch, and a latch that pins the sweep fallback once recording
-  // has failed. Both flavors can coexist: groups whose injections land
-  // on compile-time-folded gates fall back to the interpreted kernel.
+  // the differential kernel built on first successful trace fetch, and
+  // a latch that pins the sweep fallback once recording has failed.
   std::shared_ptr<SharedTraceSource> trace_source;
   std::optional<EventKernel> event;
-  std::optional<CompiledEventKernel> cevent;
   std::shared_ptr<const GoodTrace> trace;
   bool event_unavailable = false;
   KernelStats sweep_stats;
@@ -324,7 +319,6 @@ struct GroupSimulator::Impl {
         make_env(std::move(env)),
         max_cycles(options.max_cycles),
         group_timeout_ms(options.group_timeout_ms),
-        kernel(options.kernel),
         compiled(comp ? std::move(comp) : nl::compile(n)),
         sim(n, compiled),
         inj(n.size()),
@@ -338,7 +332,7 @@ struct GroupSimulator::Impl {
   /// True when every non-DFF injection site of the current group has a
   /// compiled node (faults never sit on BUF gates — fault.h strips them
   /// from the universe — but hand-built fault lists can, and those
-  /// groups run the interpreted kernels instead).
+  /// groups run the interpreted sweep instead).
   bool group_compilable() const {
     for (nl::GateId g : inj.slotted_gates()) {
       if (netlist.gate(g).kind != nl::GateKind::kDff &&
@@ -369,15 +363,14 @@ void GroupSimulator::set_run_deadline(
 
 KernelStats GroupSimulator::stats() const {
   KernelStats s = impl_->sweep_stats;
-  const auto fold = [&s](const KernelStats& k) {
+  if (impl_->event) {
+    const KernelStats& k = impl_->event->stats();
     s.gates_evaluated += k.gates_evaluated;
     s.cycles += k.cycles;
     for (std::size_t i = 0; i < s.evals_by_kind.size(); ++i) {
       s.evals_by_kind[i] += k.evals_by_kind[i];
     }
-  };
-  if (impl_->event) fold(impl_->event->stats());
-  if (impl_->cevent) fold(impl_->cevent->stats());
+  }
   s.eval_ns = impl_->eval_ns;
   return s;
 }
@@ -385,6 +378,17 @@ KernelStats GroupSimulator::stats() const {
 GroupRecord GroupSimulator::simulate(std::size_t group) {
   using Clock = std::chrono::steady_clock;
   Impl& im = *impl_;
+
+  // Event engine: fetch the campaign-shared good trace (the first fetch
+  // records it; recording honours the run deadline and cancel flag). A
+  // failed recording latches the sweep fallback for this worker. The
+  // fetch sits outside the group clock: recording, or waiting for
+  // another worker to finish it, is campaign work, not this group's.
+  if (im.trace_source && !im.trace && !im.event_unavailable) {
+    im.trace = im.trace_source->get();
+    if (!im.trace) im.event_unavailable = true;
+  }
+
   const Clock::time_point started = Clock::now();
   const std::vector<std::size_t>& active = im.plan.active();
   const std::size_t base = group * kFaultsPerGroup;
@@ -401,10 +405,6 @@ GroupRecord GroupSimulator::simulate(std::size_t group) {
   }
   const Word all_mask = (Word{1} << count) - 1;  // count <= 63
 
-  // Per-group flavor guard: the compiled kernels require every injected
-  // comb gate to exist as a compiled node.
-  const bool use_compiled =
-      im.kernel == KernelFlavor::kCompiled && im.group_compilable();
   const auto finish = [&](GroupRecord& r) -> GroupRecord {
     im.eval_ns += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -412,14 +412,6 @@ GroupRecord GroupSimulator::simulate(std::size_t group) {
             .count());
     return std::move(r);
   };
-
-  // Event engine: fetch the campaign-shared good trace (the first fetch
-  // records it; recording honours the run deadline and cancel flag). A
-  // failed recording latches the sweep fallback for this worker.
-  if (im.trace_source && !im.trace && !im.event_unavailable) {
-    im.trace = im.trace_source->get();
-    if (!im.trace) im.event_unavailable = true;
-  }
 
   const bool has_clock_bounds =
       im.group_timeout_ms != 0 ||
@@ -434,34 +426,25 @@ GroupRecord GroupSimulator::simulate(std::size_t group) {
     deadlines.active = has_clock_bounds;
     deadlines.group_deadline = group_deadline;
     deadlines.run_deadline = im.run_deadline;
-    const auto run_event = [&](auto& kernel) {
-      const KernelStats before = kernel.stats();
-      kernel.simulate(im.inj, count, deadlines, &rec);
-      const KernelStats& after = kernel.stats();
-      rec.gates_evaluated = after.gates_evaluated - before.gates_evaluated;
-      rec.sim_cycles = after.cycles - before.cycles;
-      for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
-        rec.evals_by_kind[i] =
-            after.evals_by_kind[i] - before.evals_by_kind[i];
-      }
-      rec.engine_used = GroupEngine::kEvent;
-    };
-    if (use_compiled) {
-      if (!im.cevent) {
-        im.cevent.emplace(im.netlist, *im.compiled, im.sim.po_bits(),
-                          im.trace);
-      }
-      run_event(*im.cevent);
-    } else {
-      if (!im.event) {
-        im.event.emplace(im.netlist, im.sim.levelization(), im.sim.po_bits(),
-                         im.trace);
-      }
-      run_event(*im.event);
+    if (!im.event) {
+      im.event.emplace(im.netlist, im.sim.levelization(), im.sim.po_bits(),
+                       im.trace);
     }
+    const KernelStats before = im.event->stats();
+    im.event->simulate(im.inj, count, deadlines, &rec);
+    const KernelStats& after = im.event->stats();
+    rec.gates_evaluated = after.gates_evaluated - before.gates_evaluated;
+    rec.sim_cycles = after.cycles - before.cycles;
+    for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
+      rec.evals_by_kind[i] = after.evals_by_kind[i] - before.evals_by_kind[i];
+    }
+    rec.engine_used = GroupEngine::kEvent;
     return finish(rec);
   }
 
+  // Sweep: the compiled program, unless an injection sits on a gate the
+  // compiler folded away (then the interpreted sweep runs the group).
+  const bool use_compiled = im.group_compilable();
   if (use_compiled) im.fixups.rebuild(*im.compiled, im.netlist, im.inj);
   im.sim.reset();
   apply_state_injections(im.sim, im.inj);
@@ -513,8 +496,7 @@ GroupRecord GroupSimulator::simulate(std::size_t group) {
   rec.cycles = cycle;
   // Sweep work counters are normalized to the interpreted sweep (every
   // comb gate once per cycle, folded BUFs included), so they are a pure
-  // function of (netlist, evaluated_cycles) and bit-stable across
-  // kernel flavors — journals written under either flavor agree.
+  // function of (netlist, evaluated_cycles) whichever evaluator ran.
   rec.gates_evaluated =
       evaluated_cycles * im.sim.levelization().comb_order.size();
   rec.sim_cycles = evaluated_cycles;
@@ -644,11 +626,9 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
   // deadline, or simulate. Seeded groups are not re-journaled; simulated
   // and deadline-expired ones go through on_group.
   auto process_group = [&](GroupSimulator& sim, std::size_t group) {
-    const bool timed =
-        static_cast<bool>(options.on_group_metric);  // one clock pair/group
-    const Clock::time_point started = timed ? Clock::now() : Clock::time_point();
     GroupRecord rec;
     bool seeded = false;
+    bool expired = false;
     if (options.seed_group && options.seed_group(group, &rec)) {
       if (rec.group != group || rec.count != plan.group_count(group) ||
           rec.detect_cycle.size() != rec.count) {
@@ -658,10 +638,20 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
       }
       seeded = true;
     } else if (has_clock_bounds && Clock::now() >= run_deadline) {
+      expired = true;
+    } else if (trace_source) {
+      // Recording the shared good trace (or waiting for the worker that
+      // records it) is charged to no group: fetch it before the clock.
+      trace_source->get();
+    }
+    const bool timed =
+        static_cast<bool>(options.on_group_metric);  // one clock pair/group
+    const Clock::time_point started = timed ? Clock::now() : Clock::time_point();
+    if (expired) {
       // Unstarted at the campaign deadline: every fault is inconclusive.
       rec = plan.unstarted_record(group);
       rec.timed_out = true;
-    } else {
+    } else if (!seeded) {
       rec = sim.simulate(group);
     }
     apply_record(rec);

@@ -107,8 +107,7 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
   std::iota(cn.fold_root.begin(), cn.fold_root.end(), GateId{0});
   cn.node_of_gate.assign(n, kNoNode);
 
-  // Primary-output bits stay materialized even when they are BUFs, so
-  // the event kernel's PO-divergence accumulation sees them as nodes.
+  // Primary-output bits stay materialized even when they are BUFs.
   std::vector<std::uint8_t> is_po(n, 0);
   for (const auto& port : netlist.outputs()) {
     for (GateId g : port.bits) {
@@ -161,7 +160,6 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
   cn.node_in1.reserve(num_nodes);
   cn.node_in2.reserve(num_nodes);
   cn.node_meta.reserve(num_nodes);
-  cn.node_level.reserve(num_nodes);
   for (const Key& k : keys) {
     const std::uint32_t idx = static_cast<std::uint32_t>(cn.node_gate.size());
     cn.node_of_gate[k.g] = idx;
@@ -174,47 +172,31 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
     if (k.low.invert) meta |= CompiledNetlist::kMetaInvert;
     if (is_po[k.g]) meta |= CompiledNetlist::kMetaPo;
     cn.node_meta.push_back(meta);
-    cn.node_level.push_back(k.level);
     ++cn.nodes_by_op[static_cast<std::size_t>(k.low.op)];
   }
 
-  // Pass 3: run boundaries + per-level indices.
+  // Pass 3: run boundaries + per-level run index.
   const std::uint32_t num_levels = cn.lv.max_level + 1;
-  cn.level_run_begin.assign(num_levels + 1, 0);
-  cn.level_node_begin.assign(num_levels + 1, 0);
   for (std::uint32_t i = 0; i < num_nodes;) {
     CompiledRun run;
     run.begin = i;
-    run.level = cn.node_level[i];
-    run.op = static_cast<CompiledOp>(cn.node_meta[i] &
-                                     CompiledNetlist::kMetaOpMask);
-    run.invert = (cn.node_meta[i] & CompiledNetlist::kMetaInvert) != 0;
+    run.level = keys[i].level;
+    run.op = keys[i].low.op;
+    run.invert = keys[i].low.invert;
     std::uint32_t j = i + 1;
-    while (j < num_nodes && cn.node_level[j] == run.level &&
-           static_cast<CompiledOp>(cn.node_meta[j] &
-                                   CompiledNetlist::kMetaOpMask) == run.op &&
-           ((cn.node_meta[j] & CompiledNetlist::kMetaInvert) != 0) ==
-               run.invert) {
+    while (j < num_nodes && keys[j].level == run.level &&
+           keys[j].low.op == run.op && keys[j].low.invert == run.invert) {
       ++j;
     }
     run.end = j;
     cn.runs.push_back(run);
     i = j;
   }
-  {
-    // Prefix-fill: level L owns runs/nodes up to the first of level > L.
-    std::size_t r = 0;
-    std::uint32_t nd = 0;
-    for (std::uint32_t lvl = 0; lvl <= num_levels; ++lvl) {
-      while (r < cn.runs.size() && cn.runs[r].level < lvl) ++r;
-      while (nd < num_nodes && cn.node_level[nd] < lvl) ++nd;
-      if (lvl < num_levels) {
-        cn.level_run_begin[lvl] = static_cast<std::uint32_t>(r);
-        cn.level_node_begin[lvl] = nd;
-      }
-    }
-    cn.level_run_begin[num_levels] = static_cast<std::uint32_t>(cn.runs.size());
-    cn.level_node_begin[num_levels] = static_cast<std::uint32_t>(num_nodes);
+  // Prefix-fill: level L owns the runs up to the first of level > L.
+  cn.level_run_begin.assign(num_levels + 1, 0);
+  for (std::uint32_t lvl = 0, r = 0; lvl <= num_levels; ++lvl) {
+    while (r < cn.runs.size() && cn.runs[r].level < lvl) ++r;
+    cn.level_run_begin[lvl] = r;
   }
 
   // Pass 4: DFFs (Levelization order) with fold-rooted D drivers.
@@ -223,43 +205,6 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
   for (GateId g : cn.dff_gate) {
     cn.dff_d.push_back(slot(netlist.gate(g).in[0]));
   }
-
-  // Pass 5: compiled fanout CSR over fold-rooted edges. An edge is one
-  // consumer pin; duplicated pins (NOT lowered as AND(a, a)) count once.
-  cn.fanout_offset.assign(n + 2, 0);
-  const auto each_edge = [&](auto&& fn) {
-    for (std::uint32_t idx = 0; idx < num_nodes; ++idx) {
-      const GateId g = cn.node_gate[idx];
-      const Gate& gate = netlist.gate(g);
-      const int pins = fanin_count(gate.kind);
-      GateId seen[3] = {kNoGate, kNoGate, kNoGate};
-      for (int p = 0; p < pins; ++p) {
-        if (!valid_gate(netlist, gate.in[p])) continue;
-        const GateId src = cn.fold_root[gate.in[p]];
-        bool dup = false;
-        for (int q = 0; q < p; ++q) dup = dup || (seen[q] == src);
-        seen[p] = src;
-        if (!dup) fn(src, idx);
-      }
-    }
-    for (std::size_t d = 0; d < cn.dff_gate.size(); ++d) {
-      const GateId drv = netlist.gate(cn.dff_gate[d]).in[0];
-      if (!valid_gate(netlist, drv)) continue;
-      fn(cn.fold_root[drv],
-         CompiledNetlist::kDffFlag | static_cast<std::uint32_t>(d));
-    }
-  };
-  each_edge([&](GateId src, std::uint32_t) { ++cn.fanout_offset[src + 1]; });
-  for (std::size_t i = 1; i < cn.fanout_offset.size(); ++i) {
-    cn.fanout_offset[i] += cn.fanout_offset[i - 1];
-  }
-  cn.fanout.resize(cn.fanout_offset.back());
-  std::vector<std::uint32_t> cursor(cn.fanout_offset.begin(),
-                                    cn.fanout_offset.end() - 1);
-  each_edge([&](GateId src, std::uint32_t entry) {
-    cn.fanout[cursor[src]++] = entry;
-  });
-  cn.fanout_offset.pop_back();
 
   return out;
 }

@@ -14,18 +14,18 @@
 //     root, and each folded BUF becomes a value copy executed after the
 //     sweep so externally observable state (primary outputs, traces,
 //     environment reads) is unchanged. BUFs that are primary-output bits
-//     are materialized as AND(a, a) nodes instead, so the event-driven
-//     kernel's PO divergence accumulation still sees them. Constant
-//     gates are aliases of themselves — they are never re-evaluated and
-//     never constant-propagated (output-stem faults on constants are
-//     forced per group by the injection layer, which aggressive folding
-//     would break).
+//     are materialized as AND(a, a) nodes instead, so every PO bit keeps
+//     a node of its own. Constant gates are aliases of themselves — they
+//     are never re-evaluated and never constant-propagated (output-stem
+//     faults on constants are forced per group by the injection layer,
+//     which aggressive folding would break).
 //
 // Values stay indexed by original GateId (one extra always-zero slot at
 // index num_gates stands in for kNoGate), so the injection tables, the
 // good-trace planes and every external observer keep their addressing.
-// Compiling is deterministic; both kernels remain bit-identical to the
-// interpreted reference (differential-tested in compiled_test.cpp).
+// Compiling is deterministic; the logic simulator and the fault sweep
+// stay bit-identical to the interpreted reference (differential-tested
+// in compiled_test.cpp).
 #pragma once
 
 #include <array>
@@ -48,7 +48,7 @@ inline constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
 /// Base-op class a combinational GateKind lowers to (kAnd for sources,
 /// which never lower). BUF classes with the AND lane it is materialized
 /// into; inverting kinds class with their base op. Work-counter tallies
-/// bucket per-kind evaluations with this, in both kernel flavors.
+/// bucket per-kind evaluations with this, in both engines.
 inline CompiledOp op_class(GateKind k) {
   switch (k) {
     case GateKind::kOr2:
@@ -78,8 +78,6 @@ struct CompiledNetlist {
   static constexpr std::uint8_t kMetaOpMask = 0x3;
   static constexpr std::uint8_t kMetaInvert = 0x4;
   static constexpr std::uint8_t kMetaPo = 0x8;
-  // Compiled-fanout entry tag: bit 31 set = DFF index, else node index.
-  static constexpr std::uint32_t kDffFlag = 0x80000000u;
 
   std::size_t num_gates = 0;
   /// Value-array slot that is always zero (maps kNoGate / unused pins).
@@ -96,14 +94,9 @@ struct CompiledNetlist {
   std::vector<std::uint32_t> node_in1;
   std::vector<std::uint32_t> node_in2;   // zero_slot unless op == kMux
   std::vector<std::uint8_t> node_meta;
-  std::vector<std::uint32_t> node_level;
   std::vector<CompiledRun> runs;  // execution order
   /// Runs of level L are runs[level_run_begin[L] .. level_run_begin[L+1]).
   std::vector<std::uint32_t> level_run_begin;
-  /// Nodes of level L are [level_node_begin[L], level_node_begin[L+1])
-  /// (nodes are level-major) — the event kernel's flat worklist arena
-  /// uses these as per-level segment bases.
-  std::vector<std::uint32_t> level_node_begin;
 
   // --- gate <-> program maps ----------------------------------------------
   std::vector<std::uint32_t> node_of_gate;  // kNoNode for folded/non-comb
@@ -117,15 +110,7 @@ struct CompiledNetlist {
   std::vector<GateId> dff_gate;
   std::vector<std::uint32_t> dff_d;  // fold root of the D driver
 
-  // --- compiled fanout CSR over fold-rooted edges -------------------------
-  // Consumers of value slot s are fanout[fanout_offset[s] ..
-  // fanout_offset[s + 1]): node indices, or kDffFlag | dff-index.
-  std::vector<std::uint32_t> fanout_offset;
-  std::vector<std::uint32_t> fanout;
-
-  /// Static node count per base op — the sweep kernels' per-kind
-  /// evaluation tallies are `cycles * nodes_by_op[op]`, a pure function
-  /// of the netlist (bit-stable across kernel flavors).
+  /// Static node count per base op, a pure function of the netlist.
   std::array<std::uint64_t, kNumCompiledOps> nodes_by_op = {0, 0, 0, 0};
 
   std::size_t num_nodes() const { return node_gate.size(); }

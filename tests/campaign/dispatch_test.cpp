@@ -16,6 +16,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <cstring>
 
 #include <atomic>
@@ -67,6 +68,34 @@ std::string slurp(const std::string& path) {
 bool file_exists(const std::string& path) {
   struct stat st {};
   return ::stat(path.c_str(), &st) == 0;
+}
+
+/// True while `pid` names a process that has not exited. A zombie has
+/// exited (it only awaits reaping by whoever inherited it), so it does
+/// not count as running.
+bool running(pid_t pid) {
+  if (::kill(pid, 0) != 0) return false;
+  // /proc/PID/stat is "pid (comm) state ...", and comm may hold spaces.
+  const std::string stat = slurp("/proc/" + std::to_string(pid) + "/stat");
+  const std::size_t close = stat.rfind(')');
+  return close == std::string::npos || close + 2 >= stat.size() ||
+         stat[close + 2] != 'Z';
+}
+
+/// Waits up to 5 s for `pid` to stop running; true when it did.
+bool stops_running(pid_t pid) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (running(pid)) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return true;
+}
+
+/// Pid a fake runner's child wrote to `path`.
+pid_t read_pidfile(const std::string& path) {
+  return static_cast<pid_t>(std::atol(slurp(path).c_str()));
 }
 
 /// Writes a fake runner and returns DispatchOptions invoking it as
@@ -284,6 +313,55 @@ TEST(Dispatch, DrainMarksShardsResumable) {
   EXPECT_FALSE(res.any_failed());
   for (const ShardOutcome& s : res.shards) {
     EXPECT_TRUE(s.resumable) << "shard " << s.shard;
+  }
+}
+
+TEST(Dispatch, NoRunnerDescendantSurvivesDrainOrRevocation) {
+  // Runners sit in their own process groups; drain and stale-lease
+  // revocation must signal the whole group, not just the runner, so a
+  // child the runner spawned cannot outlive it.
+  {
+    const std::string dir = make_dir("dispatch_drain_tree");
+    DispatchOptions opt = sh_runner_options(
+        dir, "runner.sh",
+        "trap 'exit 3' TERM\nsleep 30 &\necho $! > \"$2.child\"\n"
+        "wait $!\nexit 0\n",
+        1);
+    std::atomic<bool> cancel{false};
+    opt.cancel = &cancel;
+    const std::string pidfile = shard_journal_path(dir, 0, 1) + ".child";
+    std::thread trigger([&cancel, &pidfile] {
+      while (!file_exists(pidfile)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      cancel.store(true);
+    });
+    const DispatchResult res = run_dispatch(opt);
+    trigger.join();
+    EXPECT_TRUE(res.interrupted);
+    ASSERT_EQ(res.shards.size(), 1u);
+    EXPECT_TRUE(res.shards[0].resumable);
+    const pid_t child = read_pidfile(pidfile);
+    ASSERT_GT(child, 0);
+    EXPECT_TRUE(stops_running(child)) << "runner child survived the drain";
+  }
+  {
+    const std::string dir = make_dir("dispatch_revoke_tree");
+    DispatchOptions opt = sh_runner_options(
+        dir, "runner.sh",
+        "if [ -f \"$2.child\" ]; then exit 0; fi\n"
+        "sleep 30 &\necho $! > \"$2.child\"\nwait $!\n",
+        1);
+    opt.stale_after_s = 0.5;
+    const DispatchResult res = run_dispatch(opt);
+    EXPECT_TRUE(res.all_completed());
+    ASSERT_EQ(res.shards.size(), 1u);
+    EXPECT_GE(res.shards[0].stale_leases, 1u);
+    const pid_t child =
+        read_pidfile(shard_journal_path(dir, 0, 1) + ".child");
+    ASSERT_GT(child, 0);
+    EXPECT_TRUE(stops_running(child))
+        << "runner child survived the lease revocation";
   }
 }
 

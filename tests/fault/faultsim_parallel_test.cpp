@@ -102,10 +102,10 @@ TEST(FaultSimParallel, ParwanSelfTestBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(FaultSimParallel, CompiledKernelBitIdenticalAcrossThreadCounts) {
-  // The compiled kernel is the default; pin the interpreted reference
-  // at one thread and require the compiled flavor to match it bit for
-  // bit at every thread count (shared compiled program, one COW copy
-  // of the SoA arrays across workers).
+  // The compiled sweep at one thread is the reference; the sweep at
+  // every other thread count (one shared compiled program, one COW copy
+  // of the SoA arrays across workers) and the event engine at every
+  // thread count must match it bit for bit.
   const nl::Netlist n = make_comb_netlist();
   const nl::FaultList fl = nl::enumerate_faults(n);
   VectorSet vs;
@@ -114,30 +114,21 @@ TEST(FaultSimParallel, CompiledKernelBitIdenticalAcrossThreadCounts) {
   }
   FaultSimOptions opt;
   opt.threads = 1;
-  opt.kernel = KernelFlavor::kInterp;
-  const FaultSimResult interp = grade_vectors(n, fl, vs, opt);
-  opt.kernel = KernelFlavor::kCompiled;
+  opt.engine = Engine::kSweep;
+  const FaultSimResult sweep = grade_vectors(n, fl, vs, opt);
+  for (unsigned threads : {2u, 4u}) {
+    opt.threads = threads;
+    const FaultSimResult par = grade_vectors(n, fl, vs, opt);
+    expect_identical(sweep, par, "compiled sweep");
+    // Sweep work counters are a pure function of netlist and cycles.
+    EXPECT_EQ(sweep.gates_evaluated, par.gates_evaluated);
+    EXPECT_EQ(sweep.sim_cycles, par.sim_cycles);
+  }
+  opt.engine = Engine::kEvent;
   for (unsigned threads : {1u, 2u, 4u}) {
     opt.threads = threads;
-    const FaultSimResult compiled = grade_vectors(n, fl, vs, opt);
-    expect_identical(interp, compiled, "compiled kernel");
+    expect_identical(sweep, grade_vectors(n, fl, vs, opt), "event engine");
   }
-  // Work-counter contract: sweep counters are normalized to the
-  // interpreted sweep (pure function of netlist and cycles), so under
-  // the sweep engine they must be bit-stable across kernel flavors.
-  // Event-engine counters report each flavor's actual work and are
-  // exempt — only verdicts must agree there (checked above).
-  opt.threads = 1;
-  opt.engine = Engine::kSweep;
-  opt.kernel = KernelFlavor::kInterp;
-  const FaultSimResult sweep_interp = grade_vectors(n, fl, vs, opt);
-  opt.kernel = KernelFlavor::kCompiled;
-  const FaultSimResult sweep_compiled = grade_vectors(n, fl, vs, opt);
-  expect_identical(sweep_interp, sweep_compiled, "compiled sweep");
-  EXPECT_EQ(sweep_interp.gates_evaluated, sweep_compiled.gates_evaluated)
-      << "sweep work counters must be kernel-flavor-stable";
-  EXPECT_EQ(sweep_interp.sim_cycles, sweep_compiled.sim_cycles)
-      << "sweep work counters must be kernel-flavor-stable";
 }
 
 TEST(FaultSimParallel, CompiledKernelParwanIdenticalAcrossThreadCounts) {
@@ -145,21 +136,23 @@ TEST(FaultSimParallel, CompiledKernelParwanIdenticalAcrossThreadCounts) {
   const parwan::ParwanSelfTest st = parwan::build_parwan_selftest();
   ASSERT_TRUE(st.halted);
   const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
+  const EnvFactory env = parwan::make_parwan_env_factory(cpu, st.image);
   FaultSimOptions opt;
   opt.max_cycles = 10000;
   opt.sample = 630;
   opt.threads = 1;
-  opt.kernel = KernelFlavor::kInterp;
-  const FaultSimResult interp = run_fault_sim(
-      cpu.netlist, faults, parwan::make_parwan_env_factory(cpu, st.image),
-      opt);
-  opt.kernel = KernelFlavor::kCompiled;
+  opt.engine = Engine::kSweep;
+  const FaultSimResult sweep = run_fault_sim(cpu.netlist, faults, env, opt);
+  for (unsigned threads : {2u, 4u}) {
+    opt.threads = threads;
+    expect_identical(sweep, run_fault_sim(cpu.netlist, faults, env, opt),
+                     "parwan compiled sweep");
+  }
+  opt.engine = Engine::kEvent;
   for (unsigned threads : {1u, 2u, 4u}) {
     opt.threads = threads;
-    const FaultSimResult compiled = run_fault_sim(
-        cpu.netlist, faults, parwan::make_parwan_env_factory(cpu, st.image),
-        opt);
-    expect_identical(interp, compiled, "parwan compiled kernel");
+    expect_identical(sweep, run_fault_sim(cpu.netlist, faults, env, opt),
+                     "parwan event engine");
   }
 }
 

@@ -1,8 +1,8 @@
 // Differential verification of the netlist compiler (nl::compile):
 // the compiled SoA program must be bit-identical to the interpreted
 // per-gate reference on every net of every netlist — that is the
-// contract that lets the fault-simulation kernels default to the
-// compiled flavor. The heavy hammer here is a 10k-netlist random fuzz
+// contract that lets the logic simulator and the fault-simulation sweep
+// run on the compiled program. The heavy hammer here is a 10k-netlist random fuzz
 // (same splitmix64 idiom as the co-sim fuzzer) over all gate kinds,
 // BUF chains, constants, MUXes and flip-flops, run for several clock
 // cycles per netlist. Alongside it: unit tests for the folding rules
@@ -139,8 +139,8 @@ TEST(CompiledNetlist, PrimaryOutputBufIsMaterializedNotFolded) {
   n.add_output("o", {po_buf});
 
   const auto cn = compile(n);
-  // A PO-bit BUF keeps a real node (the event kernel accumulates PO
-  // divergence per node), lowered to AND(a, a) without inversion.
+  // A PO-bit BUF keeps a real node of its own, lowered to AND(a, a)
+  // without inversion.
   ASSERT_NE(cn->node_of_gate[po_buf], kNoNode);
   const std::uint32_t node = cn->node_of_gate[po_buf];
   EXPECT_EQ(cn->node_meta[node] & CompiledNetlist::kMetaOpMask,

@@ -12,7 +12,7 @@
 //              [--group-timeout SEC] [--time-budget SEC]
 //              [--isolate] [--workers N] [--max-group-retries K]
 //              [--worker-mem-mb M]
-//              [--engine event|sweep] [--kernel compiled|interp]
+//              [--engine event|sweep]
 //              [--trace-mem-mb M]
 //              [--metrics F.ndjson] [--status F.json]
 //                                      fault-grade a program (Table 5 style);
@@ -41,17 +41,7 @@
 //                                      the full per-cycle re-evaluation) —
 //                                      both produce bit-identical grades,
 //                                      and journals mix freely across
-//                                      engines. --kernel picks the gate
-//                                      evaluator inside either engine:
-//                                      compiled (default — SoA netlist
-//                                      program, branch-free per-level
-//                                      runs) or interp (the reference
-//                                      per-gate interpreter, escape
-//                                      hatch). Grades, journals and
-//                                      counter telemetry are
-//                                      bit-identical across kernels;
-//                                      the fingerprint ignores the
-//                                      flavor. --trace-mem-mb caps the
+//                                      engines. --trace-mem-mb caps the
 //                                      event engine's recorded good trace
 //                                      (default 1024 MiB, 0 = unlimited);
 //                                      exceeding it falls back to sweep.
@@ -76,7 +66,7 @@
 //              [--workers-per-shard K] [--max-shard-retries R]
 //              [--stale-after SEC] [--backoff-ms MS] [--speculative]
 //              [--status F.json] [--sample N] [--engine E]
-//              [--kernel K] [--durability D] [-o MERGED.sbstj]
+//              [--durability D] [-o MERGED.sbstj]
 //                                      fan one campaign out over N shard
 //                                      runner processes, supervised via
 //                                      on-disk leases (mtime heartbeat).
@@ -389,7 +379,6 @@ int cmd_grade(int argc, char** argv) {
   std::string journal;
   std::string out;
   std::string engine = "event";
-  std::string kernel = "compiled";
   std::string metrics;
   std::string status;
   std::string durability = "flush";
@@ -399,7 +388,6 @@ int cmd_grade(int argc, char** argv) {
   const auto pos = util::ArgParser(argc, argv)
                        .value_size("--sample", &sample)
                        .value("--engine", &engine)
-                       .value("--kernel", &kernel)
                        .value("--durability", &durability)
                        .value_size("--trace-mem-mb", &trace_mem_mb)
                        .value_count("--threads", &threads)
@@ -472,14 +460,6 @@ int cmd_grade(int argc, char** argv) {
   } else {
     throw util::ArgError("unknown --engine '" + engine +
                          "' (want event or sweep)");
-  }
-  if (kernel == "compiled") {
-    copt.sim.kernel = fault::KernelFlavor::kCompiled;
-  } else if (kernel == "interp") {
-    copt.sim.kernel = fault::KernelFlavor::kInterp;
-  } else {
-    throw util::ArgError("unknown --kernel '" + kernel +
-                         "' (want compiled or interp)");
   }
   copt.sim.trace_mem_mb = trace_mem_mb;
   copt.sim.sample = sample;  // 0 => full fault list
@@ -704,7 +684,6 @@ int cmd_dispatch(int argc, char** argv) {
   bool speculative = false;
   std::string status;
   std::string engine = "event";
-  std::string kernel = "compiled";
   std::size_t sample = 6300;
   std::uint64_t group_timeout_s = 0;
   std::string durability = "flush";
@@ -721,7 +700,6 @@ int cmd_dispatch(int argc, char** argv) {
                        .flag("--speculative", &speculative)
                        .value("--status", &status)
                        .value("--engine", &engine)
-                       .value("--kernel", &kernel)
                        .value_size("--sample", &sample)
                        .value_u64("--group-timeout", &group_timeout_s)
                        .value("--durability", &durability)
@@ -737,10 +715,6 @@ int cmd_dispatch(int argc, char** argv) {
   if (engine != "event" && engine != "sweep") {
     throw util::ArgError("unknown --engine '" + engine +
                          "' (want event or sweep)");
-  }
-  if (kernel != "compiled" && kernel != "interp") {
-    throw util::ArgError("unknown --kernel '" + kernel +
-                         "' (want compiled or interp)");
   }
   util::parse_durability(durability);  // fail fast, runners re-parse
 
@@ -796,7 +770,6 @@ int cmd_dispatch(int argc, char** argv) {
         "--status",  shard_status,
         "--sample",  std::to_string(sample),
         "--engine",  engine,
-        "--kernel",  kernel,
         "--durability", durability};
     if (workers_per_shard != 0) {
       argv.push_back("--threads");
