@@ -153,7 +153,6 @@ int main(int argc, char** argv) {
   campaign::CampaignOptions iopt;
   iopt.sim = sim;
   iopt.isolate = true;
-  iopt.iso.workers = sim.threads;
   campaign::CampaignResult isolated;
   const double t_isolate = time_seconds([&] {
     isolated = campaign::run_campaign(ctx.cpu.netlist, faults, env, fp, iopt);

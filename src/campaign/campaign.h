@@ -38,8 +38,6 @@ namespace sbst::campaign {
 /// (supervisor.h) forks sandboxed worker processes and contains the
 /// blast radius of a pathological fault group to that group.
 struct IsolateOptions {
-  /// Worker processes; 0 = one per hardware thread.
-  unsigned workers = 0;
   /// Retries a failed group gets on a fresh worker before it is
   /// quarantined (so max_group_retries + 1 attempts total).
   unsigned max_group_retries = 2;
@@ -72,7 +70,8 @@ struct CampaignOptions {
   /// segfaults, OOMs or hangs is reaped and respawned; a group that
   /// fails every retry is quarantined instead of killing the campaign.
   /// Results are bit-identical to the in-process mode for all
-  /// non-quarantined groups. sim.threads is ignored in this mode.
+  /// non-quarantined groups. sim.threads is the worker-process count
+  /// in this mode (0 = one per hardware thread).
   bool isolate = false;
   IsolateOptions iso;
   /// Telemetry sinks (per-group metrics NDJSON + heartbeat status JSON,

@@ -2,10 +2,8 @@
 
 #include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
-#include <cerrno>
+#include <algorithm>
 #include <cinttypes>
 #include <chrono>
 #include <cstdio>
@@ -17,6 +15,7 @@
 #include <stdexcept>
 
 #include "telemetry/json.h"
+#include "util/proc.h"
 
 namespace sbst::campaign {
 
@@ -67,42 +66,21 @@ bool read_text_file(const std::string& path, std::string* out) {
 }
 
 /// Seconds since the file was last written; negative when it does not
-/// exist. 1-second mtime granularity is fine against stale_after_s.
+/// exist. Sub-second, so a runner heartbeating well inside
+/// stale_after_s never reads as stale at a second boundary.
 double file_age_s(const std::string& path) {
   struct stat st {};
   if (::stat(path.c_str(), &st) != 0) return -1.0;
-  return std::difftime(std::time(nullptr), st.st_mtime);
-}
-
-pid_t spawn_runner(const std::vector<std::string>& argv) {
-  if (argv.empty()) return -1;
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (const std::string& a : argv) {
-    cargv.push_back(const_cast<char*>(a.c_str()));
-  }
-  cargv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid < 0) return -1;
-  if (pid == 0) {
-    // Runners own their drain handling; the dispatcher signals them
-    // explicitly, so a terminal Ctrl-C must not also reach every runner
-    // twice (once from the terminal's process group, once forwarded).
-    ::setpgid(0, 0);
-    ::execv(cargv[0], cargv.data());
-    std::fprintf(stderr, "exec %s failed: %s\n", cargv[0],
-                 std::strerror(errno));
-    _exit(127);
-  }
-  // Also from the parent, so the group exists before signal_group can
-  // race the child's own setpgid.
-  ::setpgid(pid, pid);
-  return pid;
+  timespec now{};
+  ::clock_gettime(CLOCK_REALTIME, &now);
+  return std::max(0.0, static_cast<double>(now.tv_sec - st.st_mtim.tv_sec) +
+                           1e-9 * static_cast<double>(now.tv_nsec -
+                                                      st.st_mtim.tv_nsec));
 }
 
 /// Signals a runner's whole process group: the runner and everything it
 /// spawned (isolated workers, helper processes), so no descendant
-/// outlives a drain, a revocation or a lost speculative race.
+/// outlives a drain or a revocation.
 void signal_group(pid_t runner, int sig) { ::kill(-runner, sig); }
 
 enum class ShardState { kPending, kRunning, kBackoff, kDone, kResumable,
@@ -116,12 +94,8 @@ struct Shard {
   unsigned redispatches = 0;
   unsigned stale_leases = 0;
   Clock::time_point eligible = Clock::time_point::min();  // backoff gate
-  std::time_t spawned_wall = 0;
+  Clock::time_point spawned;
   std::string journal, lease, status;
-  // Speculative duplicate (straggler re-execution).
-  pid_t spec_pid = -1;
-  bool spec_ran = false;
-  std::string spec_journal, spec_lease, spec_status;
   std::string error;
 };
 
@@ -135,35 +109,6 @@ const char* state_name(ShardState s) {
     case ShardState::kFailed: return "failed";
   }
   return "?";
-}
-
-/// Non-blocking reap. Returns true when the child exited, with a
-/// human-readable description and a completed/resumable classification.
-bool try_reap(pid_t pid, bool* completed, bool* resumable,
-              std::string* describe) {
-  int status = 0;
-  pid_t r;
-  while ((r = ::waitpid(pid, &status, WNOHANG)) < 0 && errno == EINTR) {
-  }
-  if (r != pid) return false;
-  *completed = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-  *resumable = WIFEXITED(status) && WEXITSTATUS(status) == 3;
-  char buf[64];
-  if (WIFEXITED(status)) {
-    std::snprintf(buf, sizeof(buf), "exit %d", WEXITSTATUS(status));
-  } else if (WIFSIGNALED(status)) {
-    std::snprintf(buf, sizeof(buf), "signal %d", WTERMSIG(status));
-  } else {
-    std::snprintf(buf, sizeof(buf), "status 0x%x", status);
-  }
-  *describe = buf;
-  return true;
-}
-
-void reap_blocking(pid_t pid) {
-  int status = 0;
-  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-  }
 }
 
 }  // namespace
@@ -267,9 +212,6 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
     s.journal = shard_journal_path(options.journal_dir, i, options.shards);
     s.lease = shard_lease_path(options.journal_dir, i, options.shards);
     s.status = shard_status_path(options.journal_dir, i, options.shards);
-    s.spec_journal = s.journal + ".spec";
-    s.spec_lease = s.lease + ".spec";
-    s.spec_status = s.status + ".spec";
   }
 
   const auto fail_shard = [&](Shard& s, const std::string& why) {
@@ -336,19 +278,22 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
     ++s.attempt;
     const std::vector<std::string> argv =
         options.make_runner_argv(s.id, s.journal, s.lease, s.status);
-    s.pid = spawn_runner(argv);
+    // Each runner leads its own process group: runners own their drain
+    // handling, so a terminal Ctrl-C must not reach every runner twice
+    // (once from the terminal's group, once forwarded), and the group
+    // lets the dispatcher signal a runner together with its workers.
+    s.pid = util::spawn_program(argv, /*new_group=*/true);
     if (s.pid < 0) {
       fail_shard(s, "cannot spawn runner");
       return;
     }
-    s.spawned_wall = std::time(nullptr);
+    s.spawned = Clock::now();
     s.state = ShardState::kRunning;
     std::fprintf(log, "[dispatch] shard %u/%u -> pid %d (attempt %u)\n", s.id,
                  options.shards, static_cast<int>(s.pid), s.attempt);
   };
 
   DispatchResult out;
-  std::size_t spec_launches = 0;
   bool draining = false;
   Clock::time_point last_status = Clock::time_point::min();
 
@@ -367,14 +312,8 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
       // along is the whole campaign".
       std::string text;
       std::map<std::string, telemetry::JsonValue> obj;
-      if (read_text_file(s.status, &text)) {
-        while (!text.empty() &&
-               (text.back() == '\n' || text.back() == '\r' ||
-                text.back() == ' ')) {
-          text.pop_back();
-        }
-      }
-      if (!text.empty() && telemetry::parse_flat_json_object(text, &obj)) {
+      if (read_text_file(s.status, &text) &&
+          telemetry::parse_flat_json_object(text, &obj)) {
         const auto put = [&](const char* key) {
           const auto it = obj.find(key);
           if (it != obj.end() && it->second.u64_valid) {
@@ -397,27 +336,19 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
     last_status = Clock::now();
   };
 
-  const auto signal_running = [&](int sig) {
-    for (Shard& s : shards) {
-      if (s.state == ShardState::kRunning && s.pid > 0) {
-        signal_group(s.pid, sig);
-      }
-      if (s.spec_pid > 0) signal_group(s.spec_pid, sig);
-    }
-  };
-
   while (true) {
     if (!draining && options.cancel != nullptr &&
         options.cancel->load(std::memory_order_relaxed)) {
       draining = true;
       std::fprintf(log,
                    "[dispatch] drain requested; signalling running shards\n");
-      signal_running(SIGTERM);
       for (Shard& s : shards) {
-        // Never-started or waiting-out-backoff shards will not run this
-        // dispatch; their journals (possibly empty) resume later.
-        if (s.state == ShardState::kPending ||
-            s.state == ShardState::kBackoff) {
+        if (s.state == ShardState::kRunning) {
+          signal_group(s.pid, SIGTERM);
+        } else if (s.state == ShardState::kPending ||
+                   s.state == ShardState::kBackoff) {
+          // Never-started or waiting-out-backoff shards will not run
+          // this dispatch; their journals (possibly empty) resume later.
           s.state = ShardState::kResumable;
         }
       }
@@ -425,7 +356,6 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
 
     const Clock::time_point now = Clock::now();
     bool active = false;
-    unsigned running = 0, done = 0;
     for (Shard& s : shards) {
       switch (s.state) {
         case ShardState::kPending:
@@ -433,26 +363,19 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
           if (!draining && now >= s.eligible) spawn_shard(s);
           break;
         case ShardState::kRunning: {
-          bool completed = false, resumable = false;
-          std::string describe;
-          if (try_reap(s.pid, &completed, &resumable, &describe)) {
+          if (const auto e = util::reap(s.pid, /*block=*/false)) {
             s.pid = -1;
-            if (completed) {
+            if (e->exited(0)) {
               s.state = ShardState::kDone;
               std::fprintf(log, "[dispatch] shard %u/%u complete\n", s.id,
                            options.shards);
-              if (s.spec_pid > 0) {
-                signal_group(s.spec_pid, SIGTERM);
-                reap_blocking(s.spec_pid);
-                s.spec_pid = -1;
-              }
-            } else if (resumable && draining) {
+            } else if (e->exited(3) && draining) {
               s.state = ShardState::kResumable;
             } else {
               // Abnormal death — or a runner that drained on a signal
               // the dispatcher never sent (external kill): both mean
               // the shard is incomplete and needs a fresh runner.
-              redispatch(s, describe);
+              redispatch(s, e->describe());
             }
             break;
           }
@@ -462,8 +385,8 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
           const double age =
               lease_age >= 0
                   ? lease_age
-                  : std::difftime(std::time(nullptr), s.spawned_wall);
-          if (!draining && age > options.stale_after_s) {
+                  : std::chrono::duration<double>(now - s.spawned).count();
+          if (age > options.stale_after_s) {
             ++s.stale_leases;
             std::fprintf(
                 log,
@@ -471,9 +394,15 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
                 "revoking\n",
                 s.id, options.shards, age, options.stale_after_s);
             signal_group(s.pid, SIGKILL);
-            reap_blocking(s.pid);
+            util::reap(s.pid);
             s.pid = -1;
-            redispatch(s, "stale lease");
+            // A runner wedged mid-drain loses the shard the same way,
+            // but nothing new starts: its journal resumes later.
+            if (draining) {
+              s.state = ShardState::kResumable;
+            } else {
+              redispatch(s, "stale lease");
+            }
           }
           break;
         }
@@ -487,50 +416,6 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
           s.state == ShardState::kRunning) {
         active = true;
       }
-      if (s.state == ShardState::kRunning) ++running;
-      if (s.state == ShardState::kDone) ++done;
-    }
-
-    // Straggler speculation: exactly one shard still running, everything
-    // else done — duplicate it into .spec files. Whoever finishes first
-    // wins; the merge dedups the overlap.
-    if (options.speculative && !draining && running == 1 &&
-        done == options.shards - 1) {
-      for (Shard& s : shards) {
-        if (s.state != ShardState::kRunning || s.spec_ran) continue;
-        const std::vector<std::string> argv = options.make_runner_argv(
-            s.id, s.spec_journal, s.spec_lease, s.spec_status);
-        s.spec_pid = spawn_runner(argv);
-        if (s.spec_pid > 0) {
-          s.spec_ran = true;
-          ++spec_launches;
-          std::fprintf(log,
-                       "[dispatch] shard %u/%u straggling; speculative "
-                       "duplicate -> pid %d\n",
-                       s.id, options.shards, static_cast<int>(s.spec_pid));
-        }
-      }
-    }
-    // A finished speculative duplicate settles its shard.
-    for (Shard& s : shards) {
-      if (s.spec_pid <= 0) continue;
-      bool completed = false, resumable = false;
-      std::string describe;
-      if (!try_reap(s.spec_pid, &completed, &resumable, &describe)) continue;
-      s.spec_pid = -1;
-      if (completed && s.state == ShardState::kRunning) {
-        std::fprintf(log,
-                     "[dispatch] shard %u/%u speculative duplicate won\n",
-                     s.id, options.shards);
-        if (s.pid > 0) {
-          signal_group(s.pid, SIGTERM);
-          reap_blocking(s.pid);
-          s.pid = -1;
-        }
-        s.state = ShardState::kDone;
-      }
-      // A failed duplicate is not re-dispatched: the primary still runs
-      // under the normal supervision rules.
     }
 
     // Added to last_status rather than subtracted from now: the initial
@@ -561,10 +446,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
     o.journal = s.journal;
     o.error = s.error;
     out.shards.push_back(std::move(o));
-    out.journals.push_back(s.journal);
-    if (s.spec_ran) out.journals.push_back(s.spec_journal);
   }
-  out.speculative_launches = spec_launches;
   write_status(out.interrupted ? "interrupted"
                                : (out.all_completed() ? "done" : "failed"));
   return out;

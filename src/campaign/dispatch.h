@@ -14,9 +14,11 @@
 //                  its lease mtime (or spawn time, before the first
 //                  heartbeat lands) is younger than stale_after_s;
 //   revocation   = a stale lease or an abnormal child exit kills the
-//                  runner (SIGKILL for stale) and re-dispatches the
-//                  shard under capped exponential backoff with
-//                  deterministic jitter, up to max_shard_retries;
+//                  runner's process group (SIGKILL for stale) and
+//                  re-dispatches the shard under capped exponential
+//                  backoff with deterministic jitter, up to
+//                  max_shard_retries; while draining, a stale runner
+//                  is killed and its shard left resumable;
 //   exclusion    = a fresh lease held by a live foreign pid blocks
 //                  dispatch of that shard (two holders would race the
 //                  same journal), and a lease with a different
@@ -25,9 +27,10 @@
 // Every failure mode degrades to "the shard's journal is missing some
 // groups and a re-dispatch (or later resume) re-simulates them" — the
 // journal's append-only later-record-wins semantics make duplicated
-// work (re-dispatch races, speculative re-execution) harmless, never
+// work (a torn or retried group re-simulated on resume) harmless, never
 // wrong. merge_journals (journal.h) reconciles the shard journals into
-// one that resumes bit-identically to an unsharded run.
+// one that resumes bit-identically to an unsharded run. Runners are
+// started and reaped through util/proc.h.
 #pragma once
 
 #include <atomic>
@@ -108,16 +111,10 @@ struct DispatchOptions {
   /// lockstep yet tests stay reproducible.
   double backoff_initial_s = 0.5;
   double backoff_cap_s = 30.0;
-  /// When every other shard is done and exactly one straggler is still
-  /// running, launch a duplicate runner for it against ".spec" journal/
-  /// lease files; first completion wins, the loser is terminated.
-  /// Duplicate group results are safe — merge is later-record-wins.
-  bool speculative = false;
   /// Campaign fingerprint, for lease collision checks.
   std::uint64_t fingerprint = 0;
   /// Builds the runner argv for one shard (argv[0] = executable path).
-  /// The dispatcher owns which journal/lease/status files a runner uses
-  /// so speculative duplicates can be redirected to .spec files.
+  /// The dispatcher owns which journal/lease/status files a runner uses.
   std::function<std::vector<std::string>(
       unsigned shard, const std::string& journal, const std::string& lease,
       const std::string& status)>
@@ -130,7 +127,7 @@ struct DispatchOptions {
   util::Durability durability = util::Durability::kFlush;
   /// Drain flag (usually util::drain_requested()): when set, running
   /// shards get one SIGTERM (they drain and exit resumable) and nothing
-  /// new is dispatched.
+  /// new is dispatched. Lease revocation stays armed while draining.
   const std::atomic<bool>* cancel = nullptr;
   /// Supervision log (re-dispatch, staleness, backoff). nullptr = stderr.
   std::FILE* log = nullptr;
@@ -138,15 +135,16 @@ struct DispatchOptions {
 
 struct ShardOutcome {
   unsigned shard = 0;
-  /// Runner processes spawned for this shard (1 = clean first try;
-  /// speculative duplicates not included).
+  /// Runner processes spawned for this shard (1 = clean first try).
   unsigned attempts = 0;
   /// Re-dispatches after abnormal death or stale lease.
   unsigned redispatches = 0;
-  /// Of those, re-dispatches triggered by a stale heartbeat.
+  /// Runners revoked for a stale heartbeat (re-dispatched, or while
+  /// draining, killed with the shard left resumable).
   unsigned stale_leases = 0;
   bool completed = false;  // a runner finished the whole shard (exit 0)
-  /// Drained mid-run (exit 3): the shard journal resumes where it left.
+  /// Drained mid-run (exit 3, or revoked while draining): the shard
+  /// journal resumes where it left.
   bool resumable = false;
   /// Retries exhausted, foreign lease, or spawn failure.
   bool failed = false;
@@ -156,10 +154,6 @@ struct ShardOutcome {
 
 struct DispatchResult {
   std::vector<ShardOutcome> shards;
-  /// Every journal file a runner may have written results into —
-  /// shard journals plus any speculative duplicates. The merge set.
-  std::vector<std::string> journals;
-  std::size_t speculative_launches = 0;
   bool interrupted = false;  // drain requested mid-dispatch
 
   bool all_completed() const {
@@ -167,12 +161,6 @@ struct DispatchResult {
       if (!s.completed) return false;
     }
     return !shards.empty();
-  }
-  bool any_failed() const {
-    for (const ShardOutcome& s : shards) {
-      if (s.failed) return true;
-    }
-    return false;
   }
 };
 

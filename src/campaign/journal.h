@@ -227,10 +227,11 @@ struct MergeStats {
 /// Merges shard journals into one: concatenates every input's intact
 /// records in input-file order and keeps the winning (latest) record
 /// per group — exactly the conflict resolution of in-journal
-/// compaction, so a group present in several shards (speculative
-/// re-execution, quarantined copy later healed) resolves to the same
-/// record compaction would pick, with later *inputs* winning ties the
-/// way later *appends* do within one file. The first input defines the
+/// compaction, so a group present in several journals (a quarantined
+/// copy later healed by a retry, or a resumed journal merged back with
+/// its shards) resolves to the same record compaction would pick, with
+/// later *inputs* winning ties the way later *appends* do within one
+/// file. The first input defines the
 /// campaign identity; any input whose fingerprint/num_groups/num_faults
 /// differ is refused (throws) — merging foreign campaigns would be
 /// silent corruption. Damaged inputs are salvaged like any load: their

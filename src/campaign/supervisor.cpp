@@ -3,7 +3,6 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include <deque>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <memory>
@@ -25,6 +23,8 @@
 #include "campaign/journal.h"
 #include "fault/good_trace.h"
 #include "telemetry/metrics.h"
+#include "util/parallel.h"
+#include "util/proc.h"
 #include "util/signals.h"
 
 namespace sbst::campaign {
@@ -33,17 +33,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Everything a worker needs, captured before forking so children
-/// inherit it copy-on-write (notably the levelized GroupSimulator —
-/// respawned workers fork from the supervisor's never-used pristine
-/// copy, so every attempt starts from identical state).
-struct WorkerContext {
-  fault::GroupSimulator& sim;
-  const IsolateOptions& iso;
-  std::uint64_t time_budget_ms = 0;
-};
-
-[[noreturn]] void worker_main(const WorkerContext& ctx, int in_fd,
+/// A worker's whole life. Everything it uses was built before forking,
+/// so children inherit it copy-on-write (notably the levelized
+/// GroupSimulator — respawned workers fork from the supervisor's
+/// never-used pristine copy, so every attempt starts from identical
+/// state).
+[[noreturn]] void worker_main(fault::GroupSimulator& sim,
+                              const CampaignOptions& options, int in_fd,
                               int out_fd) {
   // Drain signals are the supervisor's job: a Ctrl-C reaches the whole
   // process group, but only the supervisor should react (stop handing
@@ -52,18 +48,19 @@ struct WorkerContext {
   ::signal(SIGTERM, SIG_IGN);
   ::signal(SIGPIPE, SIG_IGN);  // a dead supervisor turns writes into EPIPE
 
-  if (ctx.iso.worker_mem_mb != 0) {
+  if (options.iso.worker_mem_mb != 0) {
     const rlim_t bytes =
-        static_cast<rlim_t>(ctx.iso.worker_mem_mb) * 1024 * 1024;
+        static_cast<rlim_t>(options.iso.worker_mem_mb) * 1024 * 1024;
     rlimit lim{bytes, bytes};
     ::setrlimit(RLIMIT_AS, &lim);
   }
-  if (ctx.time_budget_ms != 0) {
+  if (options.sim.time_budget_ms != 0) {
     // Coarse backstop only: the precise per-group bound is the
     // cooperative deadline inside GroupSimulator plus the supervisor's
     // wall-clock hard kill. RLIMIT_CPU is cumulative over the worker's
     // whole life, so it cannot be a per-group limit.
-    const rlim_t secs = static_cast<rlim_t>(ctx.time_budget_ms / 1000) * 2 + 30;
+    const rlim_t secs =
+        static_cast<rlim_t>(options.sim.time_budget_ms / 1000) * 2 + 30;
     rlimit lim{secs, secs};
     ::setrlimit(RLIMIT_CPU, &lim);
   }
@@ -79,15 +76,15 @@ struct WorkerContext {
           !ipc::decode_group_request(frame.payload, &req)) {
         _exit(2);
       }
-      if (ctx.iso.crash_group >= 0 &&
-          req.group == static_cast<std::uint64_t>(ctx.iso.crash_group) &&
-          req.attempt < ctx.iso.crash_attempts) {
+      if (options.iso.crash_group >= 0 &&
+          req.group == static_cast<std::uint64_t>(options.iso.crash_group) &&
+          req.attempt < options.iso.crash_attempts) {
         // Seeded crash hook (tests): die exactly like a simulator bug
         // would, after the request was accepted.
         std::abort();
       }
       const fault::GroupRecord rec =
-          ctx.sim.simulate(static_cast<std::size_t>(req.group));
+          sim.simulate(static_cast<std::size_t>(req.group));
       if (!ipc::write_frame(out_fd, ipc::kTagRecord,
                             encode_record_payload(rec))) {
         _exit(2);
@@ -111,13 +108,14 @@ struct Worker {
   bool busy = false;
   std::uint64_t group = 0;
   std::uint32_t attempt = 0;
-  Clock::time_point started;  // when the current request was dispatched
+  Clock::time_point started{};  // when the current request was dispatched
   Clock::time_point deadline = Clock::time_point::max();
 
   bool alive() const { return pid > 0; }
 };
 
-Worker spawn_worker(const WorkerContext& ctx) {
+Worker spawn_worker(fault::GroupSimulator& sim,
+                    const CampaignOptions& options) {
   int req[2] = {-1, -1};
   int res[2] = {-1, -1};
   if (::pipe(req) != 0 || ::pipe(res) != 0) {
@@ -125,51 +123,40 @@ Worker spawn_worker(const WorkerContext& ctx) {
     if (req[1] >= 0) ::close(req[1]);
     throw std::runtime_error("cannot create worker pipes");
   }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(req[0]);
-    ::close(req[1]);
-    ::close(res[0]);
-    ::close(res[1]);
-    throw std::runtime_error("cannot fork campaign worker");
-  }
-  if (pid == 0) {
-    ::close(req[1]);
-    ::close(res[0]);
-    worker_main(ctx, req[0], res[1]);  // never returns
-  }
+  // Workers stay in the supervisor's process group, so a dispatcher
+  // signalling a runner's group reaches its workers too.
+  const pid_t pid = util::spawn(
+      [&] {
+        ::close(req[1]);
+        ::close(res[0]);
+        worker_main(sim, options, req[0], res[1]);
+      },
+      /*new_group=*/false);
   ::close(req[0]);
   ::close(res[1]);
-  Worker w;
-  w.pid = pid;
-  w.to_fd = req[1];
-  w.from_fd = res[0];
-  return w;
+  if (pid < 0) {
+    ::close(req[1]);
+    ::close(res[0]);
+    throw std::runtime_error("cannot spawn campaign worker");
+  }
+  return Worker{.pid = pid, .to_fd = req[1], .from_fd = res[0]};
 }
 
-/// Reaps a dead (or about-to-die) worker and closes its pipes. Returns
-/// the structured post-mortem for quarantine records.
+/// Closes a worker's pipes and reaps it (blocking), leaving the slot
+/// empty. Returns the structured post-mortem of its current attempt for
+/// quarantine records.
 fault::GroupError reap_worker(Worker* w) {
-  int status = 0;
-  rusage ru{};
-  while (::wait4(w->pid, &status, 0, &ru) < 0 && errno == EINTR) {
-  }
-  ::close(w->to_fd);
+  if (w->to_fd >= 0) ::close(w->to_fd);
   ::close(w->from_fd);
-  fault::GroupError err;
-  if (WIFSIGNALED(status)) err.term_signal = WTERMSIG(status);
-  if (WIFEXITED(status)) err.exit_code = WEXITSTATUS(status);
-  err.attempts = w->attempt + 1;
-  err.max_rss_kb = static_cast<std::uint64_t>(ru.ru_maxrss);
-  err.cpu_ms =
-      static_cast<std::uint64_t>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) *
-          1000 +
-      static_cast<std::uint64_t>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) /
-          1000;
+  const util::ChildExit e = util::reap(w->pid).value_or(util::ChildExit{});
   w->pid = -1;
   w->to_fd = w->from_fd = -1;
   w->busy = false;
-  return err;
+  return {.term_signal = e.term_signal,
+          .exit_code = e.exit_code,
+          .attempts = w->attempt + 1,
+          .max_rss_kb = e.max_rss_kb,
+          .cpu_ms = e.cpu_ms};
 }
 
 void shutdown_workers(std::vector<Worker>* workers) {
@@ -179,13 +166,7 @@ void shutdown_workers(std::vector<Worker>* workers) {
     w.to_fd = -1;
   }
   for (Worker& w : *workers) {
-    if (!w.alive()) continue;
-    int status = 0;
-    while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    if (w.from_fd >= 0) ::close(w.from_fd);
-    w.pid = -1;
-    w.from_fd = -1;
+    if (w.alive()) reap_worker(&w);
   }
 }
 
@@ -231,6 +212,20 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
     tele.emplace(topt, "isolate", out.shard_groups_total);
   }
 
+  // Folds a resolved group's record into the run aggregate, work
+  // counters included — seeded ones too, so a resumed campaign reports
+  // the same totals as an uninterrupted one. Fresh records carry their
+  // counters across the worker pipe in the journal payload encoding.
+  const auto fold = [&](const fault::GroupRecord& rec) {
+    plan.apply(rec, &out.result);
+    out.result.gates_evaluated += rec.gates_evaluated;
+    out.result.sim_cycles += rec.sim_cycles;
+    out.result.good_cycles = std::max(out.result.good_cycles, rec.cycles);
+    if (rec.quarantined) {
+      out.quarantined_groups.push_back({rec.group, rec.error});
+    }
+  };
+
   // A journaled record resolves its group without touching a worker;
   // everything else forms the dispatch queue, in group order. Under a
   // shard restriction, out-of-class groups are neither queued nor
@@ -245,28 +240,17 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
       pending.push_back({g, 0});
       continue;
     }
-    plan.apply(it->second, &out.result);
-    // Fold the seeded record's work counters into the run aggregate so a
-    // resumed campaign reports the same totals as an uninterrupted one.
-    out.result.gates_evaluated += it->second.gates_evaluated;
-    out.result.sim_cycles += it->second.sim_cycles;
-    if (it->second.cycles > out.result.good_cycles) {
-      out.result.good_cycles = it->second.cycles;
-    }
-    if (it->second.quarantined) {
-      out.quarantined_groups.push_back({g, it->second.error});
-    }
+    fold(it->second);
     if (tele) tele->record(to_group_metric(it->second, /*seeded=*/true, 0.0));
     ++out.seeded_groups;
     ++done;
   }
   out.resumed = out.seeded_groups != 0;
 
-  Clock::time_point run_deadline = Clock::time_point::max();
-  if (options.sim.time_budget_ms != 0) {
-    run_deadline =
-        Clock::now() + std::chrono::milliseconds(options.sim.time_budget_ms);
-  }
+  const Clock::time_point run_deadline =
+      options.sim.time_budget_ms != 0
+          ? Clock::now() + std::chrono::milliseconds(options.sim.time_budget_ms)
+          : Clock::time_point::max();
 
   // The compiled program is built once, before any fork, so worker
   // processes inherit it copy-on-write like the good trace.
@@ -276,35 +260,16 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
   // every worker process inherits the finished trace copy-on-write
   // instead of each re-recording it after fork. Skipped when the
   // journal already resolved every group (nothing left to simulate).
-  std::shared_ptr<fault::SharedTraceSource> trace_source;
-  if (options.sim.engine == fault::Engine::kEvent) {
-    const std::size_t cap_bytes =
-        options.sim.trace_mem_mb == 0
-            ? 0
-            : options.sim.trace_mem_mb * std::size_t{1024} * 1024;
-    trace_source = std::make_shared<fault::SharedTraceSource>(
-        netlist, make_env, options.sim.max_cycles, cap_bytes, compiled);
-    // Like a single group, the good run must fit within group_timeout_ms
-    // (otherwise every group would time out under the event engine too);
-    // exceeding it falls back to the sweep kernel.
-    Clock::time_point trace_deadline = run_deadline;
-    if (options.sim.group_timeout_ms != 0) {
-      const Clock::time_point d =
-          Clock::now() +
-          std::chrono::milliseconds(options.sim.group_timeout_ms);
-      if (d < trace_deadline) trace_deadline = d;
-    }
-    trace_source->set_deadline(trace_deadline);
-    trace_source->set_cancel(cancel);
-    if (!pending.empty()) trace_source->get();
-  }
+  const std::shared_ptr<fault::SharedTraceSource> trace_source =
+      fault::make_trace_source(netlist, make_env, options.sim, compiled,
+                               run_deadline, cancel);
+  if (trace_source && !pending.empty()) trace_source->get();
 
   // Built once, before any fork: children inherit the levelized
   // simulator copy-on-write. The supervisor itself never simulates.
   fault::GroupSimulator sim(netlist, faults, plan, make_env, options.sim,
                             trace_source, compiled);
   sim.set_run_deadline(run_deadline);
-  WorkerContext ctx{sim, options.iso, options.sim.time_budget_ms};
 
   // A worker that crashes mid-write leaves a half-closed pipe; writing
   // the next request to it must yield EPIPE, not kill the supervisor.
@@ -313,10 +278,8 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
   struct sigaction saved_pipe {};
   ::sigaction(SIGPIPE, &ignore_pipe, &saved_pipe);
 
-  unsigned num_workers = options.iso.workers != 0
-                             ? options.iso.workers
-                             : std::thread::hardware_concurrency();
-  if (num_workers == 0) num_workers = 1;
+  unsigned num_workers = options.sim.threads != 0 ? options.sim.threads
+                                                 : util::hardware_threads();
   if (num_workers > pending.size() && !pending.empty()) {
     num_workers = static_cast<unsigned>(pending.size());
   }
@@ -347,18 +310,7 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
 
   const auto resolve = [&](const fault::GroupRecord& rec, double duration_ms,
                            std::uint32_t attempts) {
-    plan.apply(rec, &out.result);
-    // The record carried its work counters across the worker pipe
-    // (journal payload encoding); fold them in — before this, isolated
-    // campaigns reported zero gates_evaluated/sim_cycles.
-    out.result.gates_evaluated += rec.gates_evaluated;
-    out.result.sim_cycles += rec.sim_cycles;
-    if (rec.cycles > out.result.good_cycles) {
-      out.result.good_cycles = rec.cycles;
-    }
-    if (rec.quarantined) {
-      out.quarantined_groups.push_back({rec.group, rec.error});
-    }
+    fold(rec);
     if (journal.writer) journal.writer->add(rec);
     if (tele) {
       telemetry::GroupMetric m =
@@ -414,7 +366,7 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
     if (!pending.empty()) {
       workers.reserve(num_workers);
       for (unsigned i = 0; i < num_workers; ++i) {
-        workers.push_back(spawn_worker(ctx));
+        workers.push_back(spawn_worker(sim, options));
       }
     }
 
@@ -442,7 +394,7 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
             const fault::GroupError err = reap_worker(&w);
             ++out.worker_restarts;
             fail_group(req.group, req.attempt, err, 0.0);
-            w = spawn_worker(ctx);
+            w = spawn_worker(sim, options);
             continue;
           }
           w.busy = true;
@@ -513,13 +465,11 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
         // EOF (crash/OOM/hard kill) or a desynchronized stream: make
         // sure it is dead, reap it, charge the attempt, respawn.
         ::kill(w.pid, SIGKILL);
-        const std::uint64_t group = w.group;
-        const std::uint32_t attempt = w.attempt;
-        const fault::GroupError err = reap_worker(&w);
+        const fault::GroupError err = reap_worker(&w);  // keeps w.group
         --inflight;
         ++out.worker_restarts;
-        fail_group(group, attempt, err, attempt_ms);
-        if (!draining) w = spawn_worker(ctx);
+        fail_group(w.group, w.attempt, err, attempt_ms);
+        if (!draining) w = spawn_worker(sim, options);
       }
     }
 

@@ -10,6 +10,7 @@
 // DESIGN.md §5.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>

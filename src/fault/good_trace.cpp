@@ -1,5 +1,7 @@
 #include "fault/good_trace.h"
 
+#include <algorithm>
+
 #include "fault/faultsim.h"
 
 namespace sbst::fault {
@@ -72,6 +74,25 @@ std::shared_ptr<const GoodTrace> record_good_trace(
     }
   }
   return std::make_shared<const GoodTrace>(n, std::move(planes), cycle);
+}
+
+std::shared_ptr<SharedTraceSource> make_trace_source(
+    const nl::Netlist& netlist, const EnvFactory& make_env,
+    const FaultSimOptions& options,
+    std::shared_ptr<const nl::CompiledNetlist> compiled,
+    std::chrono::steady_clock::time_point run_deadline,
+    const std::atomic<bool>* cancel) {
+  if (options.engine != Engine::kEvent) return nullptr;
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point deadline = run_deadline;
+  if (options.group_timeout_ms != 0) {
+    deadline = std::min(deadline, Clock::now() + std::chrono::milliseconds(
+                                                     options.group_timeout_ms));
+  }
+  return std::make_shared<SharedTraceSource>(
+      netlist, make_env, options.max_cycles,
+      options.trace_mem_mb * std::size_t{1024} * 1024, std::move(compiled),
+      deadline, cancel);
 }
 
 }  // namespace sbst::fault

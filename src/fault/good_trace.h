@@ -25,6 +25,7 @@
 namespace sbst::fault {
 
 class Environment;
+struct FaultSimOptions;
 using EnvFactory = std::function<std::unique_ptr<Environment>()>;
 
 /// Immutable packed good-value bitplanes holding, for every cycle, one
@@ -56,7 +57,6 @@ class GoodTrace {
 
   /// Cycles recorded: the environment's stop cycle, or max_cycles.
   std::uint64_t cycles() const { return cycles_; }
-  std::size_t words_per_cycle() const { return words_per_cycle_; }
   std::size_t memory_bytes() const {
     return planes_.size() * sizeof(sim::Word);
   }
@@ -102,25 +102,24 @@ std::shared_ptr<const GoodTrace> record_good_trace(
 /// serial good run they all depend on); later calls reuse the immutable
 /// trace. A campaign that is fully seeded from its journal never
 /// records. A failed recording (memory cap, deadline, cancel) latches
-/// the sweep fallback for the whole campaign.
+/// the sweep fallback for the whole campaign. `deadline` and `cancel`
+/// bound the recording like record_good_trace's.
 class SharedTraceSource {
  public:
   SharedTraceSource(const nl::Netlist& netlist, EnvFactory make_env,
                     std::uint64_t max_cycles, std::size_t mem_cap_bytes,
                     std::shared_ptr<const nl::CompiledNetlist> compiled =
-                        nullptr)
+                        nullptr,
+                    std::chrono::steady_clock::time_point deadline =
+                        std::chrono::steady_clock::time_point::max(),
+                    const std::atomic<bool>* cancel = nullptr)
       : netlist_(&netlist),
         make_env_(std::move(make_env)),
         max_cycles_(max_cycles),
         mem_cap_bytes_(mem_cap_bytes),
-        compiled_(std::move(compiled)) {}
-
-  /// Campaign wall-clock deadline and cancel flag honoured while
-  /// recording. Set before the first get() (i.e. before workers start).
-  void set_deadline(std::chrono::steady_clock::time_point deadline) {
-    deadline_ = deadline;
-  }
-  void set_cancel(const std::atomic<bool>* cancel) { cancel_ = cancel; }
+        compiled_(std::move(compiled)),
+        deadline_(deadline),
+        cancel_(cancel) {}
 
   /// Records on first call; thread-safe. nullptr = fall back to sweep.
   std::shared_ptr<const GoodTrace> get() {
@@ -149,12 +148,23 @@ class SharedTraceSource {
   std::uint64_t max_cycles_;
   std::size_t mem_cap_bytes_;
   std::shared_ptr<const nl::CompiledNetlist> compiled_;
-  std::chrono::steady_clock::time_point deadline_ =
-      std::chrono::steady_clock::time_point::max();
-  const std::atomic<bool>* cancel_ = nullptr;
+  std::chrono::steady_clock::time_point deadline_;
+  const std::atomic<bool>* cancel_;
   std::once_flag once_;
   std::shared_ptr<const GoodTrace> trace_;
   std::atomic<bool> attempted_{false};
 };
+
+/// The campaign's trace source under `options` (nullptr for the sweep
+/// engine). Recording is bounded like one group, by the earlier of
+/// `run_deadline` and now + group_timeout_ms (a good run that cannot
+/// finish in time would time out every event group), by trace_mem_mb
+/// and by `cancel`; each falls back to the sweep kernel.
+std::shared_ptr<SharedTraceSource> make_trace_source(
+    const nl::Netlist& netlist, const EnvFactory& make_env,
+    const FaultSimOptions& options,
+    std::shared_ptr<const nl::CompiledNetlist> compiled,
+    std::chrono::steady_clock::time_point run_deadline,
+    const std::atomic<bool>* cancel);
 
 }  // namespace sbst::fault

@@ -560,27 +560,8 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
   // Event engine: one lazily recorded good trace shared read-only by
   // every worker (a campaign fully seeded from its journal never pays
   // for recording at all).
-  std::shared_ptr<SharedTraceSource> trace_source;
-  if (options.engine == Engine::kEvent) {
-    const std::size_t cap_bytes =
-        options.trace_mem_mb == 0
-            ? 0
-            : options.trace_mem_mb * std::size_t{1024} * 1024;
-    trace_source = std::make_shared<SharedTraceSource>(
-        netlist, make_env, options.max_cycles, cap_bytes, compiled);
-    // The good run is bounded like a single group: if it cannot finish
-    // within group_timeout_ms, every group would time out under the
-    // event engine too, so falling back to the sweep kernel preserves
-    // the timeout semantics exactly.
-    Clock::time_point trace_deadline = run_deadline;
-    if (options.group_timeout_ms != 0) {
-      const Clock::time_point d =
-          Clock::now() + std::chrono::milliseconds(options.group_timeout_ms);
-      if (d < trace_deadline) trace_deadline = d;
-    }
-    trace_source->set_deadline(trace_deadline);
-    trace_source->set_cancel(options.cancel);
-  }
+  const std::shared_ptr<SharedTraceSource> trace_source = make_trace_source(
+      netlist, make_env, options, compiled, run_deadline, options.cancel);
 
   // Thread-safe progress: groups complete out of order across workers,
   // but the reported count is monotonic and ends at num_groups (fewer on

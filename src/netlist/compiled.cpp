@@ -159,7 +159,6 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
   cn.node_in0.reserve(num_nodes);
   cn.node_in1.reserve(num_nodes);
   cn.node_in2.reserve(num_nodes);
-  cn.node_meta.reserve(num_nodes);
   for (const Key& k : keys) {
     const std::uint32_t idx = static_cast<std::uint32_t>(cn.node_gate.size());
     cn.node_of_gate[k.g] = idx;
@@ -168,11 +167,6 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
     cn.node_in1.push_back(slot(k.low.in1));
     cn.node_in2.push_back(k.low.op == CompiledOp::kMux ? slot(k.low.in2)
                                                        : cn.zero_slot);
-    std::uint8_t meta = static_cast<std::uint8_t>(k.low.op);
-    if (k.low.invert) meta |= CompiledNetlist::kMetaInvert;
-    if (is_po[k.g]) meta |= CompiledNetlist::kMetaPo;
-    cn.node_meta.push_back(meta);
-    ++cn.nodes_by_op[static_cast<std::size_t>(k.low.op)];
   }
 
   // Pass 3: run boundaries + per-level run index.

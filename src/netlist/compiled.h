@@ -28,7 +28,6 @@
 // in compiled_test.cpp).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -74,11 +73,6 @@ struct CompiledRun {
 };
 
 struct CompiledNetlist {
-  // Per-node meta byte: base op (2 bits), output inversion, PO-bit flag.
-  static constexpr std::uint8_t kMetaOpMask = 0x3;
-  static constexpr std::uint8_t kMetaInvert = 0x4;
-  static constexpr std::uint8_t kMetaPo = 0x8;
-
   std::size_t num_gates = 0;
   /// Value-array slot that is always zero (maps kNoGate / unused pins).
   /// Value arrays driven through this program are sized num_gates + 1.
@@ -93,7 +87,6 @@ struct CompiledNetlist {
   std::vector<std::uint32_t> node_in0;   // fold-rooted fanin value slots
   std::vector<std::uint32_t> node_in1;
   std::vector<std::uint32_t> node_in2;   // zero_slot unless op == kMux
-  std::vector<std::uint8_t> node_meta;
   std::vector<CompiledRun> runs;  // execution order
   /// Runs of level L are runs[level_run_begin[L] .. level_run_begin[L+1]).
   std::vector<std::uint32_t> level_run_begin;
@@ -109,9 +102,6 @@ struct CompiledNetlist {
   // --- flip-flops (Levelization::dffs order) ------------------------------
   std::vector<GateId> dff_gate;
   std::vector<std::uint32_t> dff_d;  // fold root of the D driver
-
-  /// Static node count per base op, a pure function of the netlist.
-  std::array<std::uint64_t, kNumCompiledOps> nodes_by_op = {0, 0, 0, 0};
 
   std::size_t num_nodes() const { return node_gate.size(); }
 };

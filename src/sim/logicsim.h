@@ -61,9 +61,6 @@ class LogicSim {
   const nl::Netlist& netlist() const { return *nl_; }
   const nl::Levelization& levelization() const { return cn_->lv; }
   const nl::CompiledNetlist& compiled() const { return *cn_; }
-  const std::shared_ptr<const nl::CompiledNetlist>& compiled_ptr() const {
-    return cn_;
-  }
 
   /// Loads DFF reset values and clears inputs.
   void reset();

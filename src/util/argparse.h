@@ -46,7 +46,7 @@ class ArgParser {
   /// line order.
   ArgParser& value_multi(std::string_view name,
                          std::vector<std::string>* out);
-  /// Bounded count (`--threads N`, `--workers N`, `--max-group-retries K`):
+  /// Bounded count (`--threads N`, `--shards N`, `--max-group-retries K`):
   /// the value must lie in [1, 4096]. 0 is rejected loudly rather than
   /// silently meaning "auto" or "never retry", and absurd counts (a typo
   /// like `--threads 40960`) fail instead of spawning a fork bomb.

@@ -291,14 +291,13 @@ TEST(Chaos, CompactionKeepsResumeBitIdenticalAcrossModes) {
     bool isolate;
   };
   for (const Mode mode : {Mode{"threads1", 1, false}, Mode{"threads2", 2, false},
-                          Mode{"threads4", 4, false}, Mode{"isolate", 0, true}}) {
+                          Mode{"threads4", 4, false}, Mode{"isolate", 2, true}}) {
     SCOPED_TRACE(mode.name);
     spit(path, slurp(bloated));
     CampaignOptions opt = base;
     opt.journal = path;
     opt.sim.threads = mode.threads;
     opt.isolate = mode.isolate;
-    if (mode.isolate) opt.iso.workers = 2;
     const CampaignResult res = run_campaign(n, faults, env, kFp, opt);
     EXPECT_TRUE(res.journal_compacted)
         << "3x dead records must trip the auto-compaction threshold";

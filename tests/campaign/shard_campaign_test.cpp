@@ -230,7 +230,7 @@ TEST(ShardIsolate, MergedResumeBitIdenticalUnderIsolation) {
   CampaignOptions resume = ParwanCampaign::base_options(1);
   resume.journal = merged;
   resume.isolate = true;
-  resume.iso.workers = 2;
+  resume.sim.threads = 2;
   const CampaignResult full =
       run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, resume);
   EXPECT_EQ(full.seeded_groups, universe);

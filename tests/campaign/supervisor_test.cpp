@@ -2,13 +2,17 @@
 // bit-identical to the in-process engine, a worker crash costs retries
 // and then quarantines exactly one group (with the fatal signal in the
 // structured error record) while every other group stays bit-identical,
-// a transient crash is healed by a retry, and a drained isolated
-// campaign resumes — even in the other execution mode.
+// a transient crash is healed by a retry, a drained isolated campaign
+// resumes — even in the other execution mode — and no worker process
+// outlives the campaign that forked it.
 #include "campaign/supervisor.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -69,7 +73,7 @@ TEST(Supervisor, IsolatedRunIsBitIdenticalToInProcess) {
 
   CampaignOptions iso = ParwanIsolated::base_options();
   iso.isolate = true;
-  iso.iso.workers = 3;
+  iso.sim.threads = 3;
   iso.journal = temp_path("sup_identical.sbstj");
   std::remove(iso.journal.c_str());
   const CampaignResult isolated =
@@ -105,7 +109,7 @@ TEST(Supervisor, PoisonGroupIsQuarantinedAfterRetriesWithSignalRecorded) {
   constexpr std::uint64_t kPoison = 4;
   CampaignOptions opt = ParwanIsolated::base_options();
   opt.isolate = true;
-  opt.iso.workers = 2;
+  opt.sim.threads = 2;
   opt.iso.max_group_retries = 2;
   opt.iso.crash_group = kPoison;  // crashes on every attempt
   opt.journal = temp_path("sup_poison.sbstj");
@@ -176,7 +180,7 @@ TEST(Supervisor, TransientCrashIsHealedByARetry) {
 
   CampaignOptions opt = ParwanIsolated::base_options();
   opt.isolate = true;
-  opt.iso.workers = 2;
+  opt.sim.threads = 2;
   opt.iso.max_group_retries = 2;
   opt.iso.crash_group = 6;
   opt.iso.crash_attempts = 1;  // first attempt dies, the retry succeeds
@@ -201,7 +205,7 @@ TEST(Supervisor, DrainStopsDispatchAndResumesBitIdentical) {
 
   CampaignOptions opt = ParwanIsolated::base_options();
   opt.isolate = true;
-  opt.iso.workers = 2;
+  opt.sim.threads = 2;
   opt.journal = path;
   std::atomic<bool> cancel{false};
   opt.sim.cancel = &cancel;
@@ -217,13 +221,50 @@ TEST(Supervisor, DrainStopsDispatchAndResumesBitIdentical) {
   // Resume in isolated mode...
   CampaignOptions resume = ParwanIsolated::base_options();
   resume.isolate = true;
-  resume.iso.workers = 2;
+  resume.sim.threads = 2;
   resume.journal = path;
   const CampaignResult full =
       run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, resume);
   EXPECT_TRUE(full.resumed);
   EXPECT_EQ(full.groups_done, full.groups_total);
   expect_identical(clean.result, full.result, "isolated resume");
+}
+
+/// True when this process has no child left, running or unreaped.
+bool no_children_left() {
+  errno = 0;
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
+TEST(Supervisor, NoWorkerOutlivesQuarantineOrDrain) {
+  // Every worker an isolated campaign forks is reaped before
+  // run_campaign returns, whether its group was quarantined after
+  // crashing or the campaign drained mid-run.
+  const auto& fx = fixture();
+  ASSERT_TRUE(no_children_left());
+
+  CampaignOptions crash = ParwanIsolated::base_options();
+  crash.isolate = true;
+  crash.sim.threads = 2;
+  crash.iso.max_group_retries = 1;
+  crash.iso.crash_group = 3;  // every attempt dies
+  const CampaignResult quarantined =
+      run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, crash);
+  ASSERT_EQ(quarantined.quarantined_groups.size(), 1u);
+  EXPECT_TRUE(no_children_left()) << "a worker outlived the quarantine";
+
+  CampaignOptions drain = ParwanIsolated::base_options();
+  drain.isolate = true;
+  drain.sim.threads = 2;
+  std::atomic<bool> cancel{false};
+  drain.sim.cancel = &cancel;
+  drain.sim.progress = [&cancel](const fault::Progress& p) {
+    if (p.done >= 3) cancel.store(true);
+  };
+  const CampaignResult drained =
+      run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, drain);
+  ASSERT_TRUE(drained.interrupted);
+  EXPECT_TRUE(no_children_left()) << "a worker outlived the drain";
 }
 
 /// Environment that hoards memory the way a leaking testbench would:
@@ -275,7 +316,6 @@ TEST(Supervisor, WorkerMemoryLimitTurnsOomIntoQuarantineNotCampaignDeath) {
   // outside any rlimit), so under it HungryEnv cannot OOM a worker.
   opt.sim.engine = fault::Engine::kSweep;
   opt.isolate = true;
-  opt.iso.workers = 1;
   opt.iso.max_group_retries = 0;
   opt.iso.worker_mem_mb = 32;
   const CampaignResult res = run_campaign(n, faults, env, kFp ^ 0x99, opt);

@@ -118,7 +118,7 @@ TEST(CampaignTelemetry, CountersBitStableAcrossThreadsAndIsolate) {
   const std::string iso_path = temp_path("tele_isolate.ndjson");
   CampaignOptions iso = ParwanFixture::base_options(1);
   iso.isolate = true;
-  iso.iso.workers = 2;
+  iso.sim.threads = 2;
   iso.telemetry.metrics_path = iso_path;
   run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, iso);
   const auto isolated = load_metrics(iso_path);
@@ -206,7 +206,7 @@ TEST(CampaignTelemetry, IsolateMetricsCarryAttemptsAndDeadWorkerRusage) {
   const std::string path = temp_path("tele_crash.ndjson");
   CampaignOptions opt = ParwanFixture::base_options(1);
   opt.isolate = true;
-  opt.iso.workers = 2;
+  opt.sim.threads = 2;
   opt.iso.crash_group = 4;
   opt.iso.crash_attempts = 1;  // first attempt dies, retry succeeds
   opt.telemetry.metrics_path = path;
@@ -223,7 +223,7 @@ TEST(CampaignTelemetry, IsolateMetricsCarryAttemptsAndDeadWorkerRusage) {
   const std::string qpath = temp_path("tele_quarantine.ndjson");
   CampaignOptions qopt = ParwanFixture::base_options(1);
   qopt.isolate = true;
-  qopt.iso.workers = 2;
+  qopt.sim.threads = 2;
   qopt.iso.max_group_retries = 2;
   qopt.iso.crash_group = 4;  // every attempt dies
   qopt.telemetry.metrics_path = qpath;

@@ -307,7 +307,7 @@ TEST(EventKernel, IsolatedCampaignIdenticalAcrossEngines) {
   campaign::CampaignOptions iso_opt = base;
   iso_opt.sim.engine = Engine::kEvent;
   iso_opt.isolate = true;
-  iso_opt.iso.workers = 2;
+  iso_opt.sim.threads = 2;
   const campaign::CampaignResult iso =
       campaign::run_campaign(cpu.netlist, faults, env, kFp, iso_opt);
   expect_identical(sweep.result, iso.result, "isolated event campaign");
@@ -651,7 +651,7 @@ TEST(EventKernel, LutGateRandomNetlistsIdenticalUnderIsolation) {
     iso.sim.max_cycles = 1000;
     iso.sim.engine = Engine::kEvent;
     iso.isolate = true;
-    iso.iso.workers = 2;
+    iso.sim.threads = 2;
     const campaign::CampaignResult res = campaign::run_campaign(
         n, fl, hash_env(400), 0x1a7e0000u + seed, iso);
     EXPECT_EQ(res.groups_done, res.groups_total);

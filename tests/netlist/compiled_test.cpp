@@ -10,6 +10,7 @@
 // alias-aware live_mask overload that feeds nl::lint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -143,10 +144,15 @@ TEST(CompiledNetlist, PrimaryOutputBufIsMaterializedNotFolded) {
   // without inversion.
   ASSERT_NE(cn->node_of_gate[po_buf], kNoNode);
   const std::uint32_t node = cn->node_of_gate[po_buf];
-  EXPECT_EQ(cn->node_meta[node] & CompiledNetlist::kMetaOpMask,
-            static_cast<std::uint8_t>(CompiledOp::kAnd));
-  EXPECT_EQ(cn->node_meta[node] & CompiledNetlist::kMetaInvert, 0);
-  EXPECT_NE(cn->node_meta[node] & CompiledNetlist::kMetaPo, 0);
+  EXPECT_EQ(cn->node_in0[node], root);
+  EXPECT_EQ(cn->node_in1[node], root);
+  const auto run = std::find_if(
+      cn->runs.begin(), cn->runs.end(), [node](const CompiledRun& r) {
+        return r.begin <= node && node < r.end;
+      });
+  ASSERT_NE(run, cn->runs.end());
+  EXPECT_EQ(run->op, CompiledOp::kAnd);
+  EXPECT_FALSE(run->invert);
 
   sim::LogicSim sim(n);
   sim.set_input(n.input("in"), 2);
@@ -244,16 +250,17 @@ TEST(CompiledNetlist, LintSplitsDeadLogicFromFoldedAliases) {
 TEST(CompiledNetlist, PerKindNodeTalliesSumToNodeCount) {
   const Netlist n = random_netlist(7);
   const auto cn = compile(n);
-  std::uint64_t sum = 0;
-  for (const std::uint64_t c : cn->nodes_by_op) sum += c;
-  EXPECT_EQ(sum, cn->num_nodes());
-  // And the runs partition the node array in execution order.
-  std::uint64_t covered = 0;
+  // The runs partition the node array in execution order, so their
+  // per-op node tallies sum to the node count.
+  std::uint64_t by_op[kNumCompiledOps] = {0, 0, 0, 0};
+  std::uint32_t next = 0;
   for (const CompiledRun& r : cn->runs) {
+    EXPECT_EQ(r.begin, next);
     EXPECT_LE(r.begin, r.end);
-    covered += r.end - r.begin;
+    by_op[static_cast<std::size_t>(r.op)] += r.end - r.begin;
+    next = r.end;
   }
-  EXPECT_EQ(covered, cn->num_nodes());
+  EXPECT_EQ(by_op[0] + by_op[1] + by_op[2] + by_op[3], cn->num_nodes());
 }
 
 }  // namespace

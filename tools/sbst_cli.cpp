@@ -10,16 +10,13 @@
 //              [--durability none|flush|fsync]
 //              [--journal F.sbstj] [--progress] [--retry-timeouts]
 //              [--group-timeout SEC] [--time-budget SEC]
-//              [--isolate] [--workers N] [--max-group-retries K]
-//              [--worker-mem-mb M]
-//              [--engine event|sweep]
-//              [--trace-mem-mb M]
+//              [--isolate] [--max-group-retries K] [--worker-mem-mb M]
+//              [--engine event|sweep] [--trace-mem-mb M]
 //              [--metrics F.ndjson] [--status F.json]
 //                                      fault-grade a program (Table 5 style);
 //                                      --sample 0 simulates the full fault
-//                                      list; omitting --threads (or
-//                                      --workers) uses every core. With
-//                                      --journal the run
+//                                      list; omitting --threads uses
+//                                      every core. With --journal the run
 //                                      is a durable campaign: finished
 //                                      63-fault groups are checkpointed,
 //                                      SIGINT/SIGTERM drains gracefully
@@ -30,8 +27,9 @@
 //                                      inconclusive count, making coverage
 //                                      an explicit lower bound. --isolate
 //                                      runs each group in a forked,
-//                                      rlimit-sandboxed worker process; a
-//                                      group whose worker dies on every
+//                                      rlimit-sandboxed worker process
+//                                      (--threads of them); a group
+//                                      whose worker dies on every
 //                                      attempt (K retries, default 2) is
 //                                      quarantined with its signal/rusage
 //                                      recorded instead of killing the
@@ -64,7 +62,7 @@
 //                                      dispatcher (see sbst dispatch).
 //   sbst dispatch FILE.s --shards N --journal-dir D
 //              [--workers-per-shard K] [--max-shard-retries R]
-//              [--stale-after SEC] [--backoff-ms MS] [--speculative]
+//              [--stale-after SEC] [--backoff-ms MS]
 //              [--status F.json] [--sample N] [--engine E]
 //              [--durability D] [-o MERGED.sbstj]
 //                                      fan one campaign out over N shard
@@ -73,9 +71,7 @@
 //                                      A shard whose runner dies or
 //                                      whose lease goes stale is
 //                                      re-dispatched under capped,
-//                                      jittered exponential backoff;
-//                                      --speculative duplicates the
-//                                      last straggler (merge dedups).
+//                                      jittered exponential backoff.
 //                                      With -o the shard journals are
 //                                      merged when all shards complete.
 //                                      Exit 0 all complete, 3 drained
@@ -196,6 +192,48 @@ std::string read_file(const std::string& path) {
 
 isa::Program load_program(const std::string& path) {
   return isa::assemble(read_file(path));
+}
+
+constexpr std::uint64_t kGradeMaxCycles = 10'000'000;
+
+fault::Engine parse_engine(const std::string& name) {
+  if (name == "event") return fault::Engine::kEvent;
+  if (name == "sweep") return fault::Engine::kSweep;
+  throw util::ArgError("unknown --engine '" + name + "' (want event or sweep)");
+}
+
+/// What `grade` and `dispatch` both grade: the program, the CPU it must
+/// halt on, its collapsed faults and the fingerprint tying journals and
+/// leases to this campaign (program image, netlist, fault universe,
+/// sampling, cycle budget), so a dispatcher and its runners agree. The
+/// shard restriction is deliberately not fingerprinted: all shards share
+/// one identity, which is what makes their journals mergeable.
+struct GradeCampaign {
+  isa::Program program;
+  plasma::PlasmaCpu cpu = plasma::build_plasma_cpu();
+  std::uint64_t good_cycles = 0;
+  nl::FaultList faults;
+  std::uint64_t fingerprint = 0;
+};
+
+void load_grade_campaign(const std::string& path, std::size_t sample,
+                         GradeCampaign* c) {
+  c->program = load_program(path);
+  const plasma::GateRunResult gr =
+      plasma::run_gate_cpu(c->cpu, c->program, kGradeMaxCycles);
+  if (!gr.halted) {
+    throw std::runtime_error("program does not halt on the gate-level CPU");
+  }
+  c->good_cycles = gr.cycles;
+  c->faults = nl::enumerate_faults(c->cpu.netlist);
+  const std::vector<std::uint32_t>& words = c->program.words;
+  std::uint64_t fp = campaign::fingerprint_init();
+  fp = campaign::fingerprint_bytes(fp, words.data(), words.size() * 4);
+  fp = campaign::fingerprint_u64(fp, c->cpu.netlist.size());
+  fp = campaign::fingerprint_u64(fp, c->faults.size());
+  fp = campaign::fingerprint_u64(fp, sample);
+  fp = campaign::fingerprint_u64(fp, fault::FaultSimOptions{}.sample_seed);
+  c->fingerprint = campaign::fingerprint_u64(fp, kGradeMaxCycles);
 }
 
 int cmd_info(int argc, char** argv) {
@@ -368,7 +406,6 @@ int cmd_grade(int argc, char** argv) {
   bool progress = false;
   bool retry_timeouts = false;
   bool isolate = false;
-  unsigned workers = 0;  // 0 = one per hardware thread (flag: >= 1)
   unsigned max_group_retries = 2;
   std::size_t worker_mem_mb = 0;
   // Test hooks for the isolation machinery (CI kills a designated group's
@@ -401,17 +438,16 @@ int cmd_grade(int argc, char** argv) {
                        .flag("--retry-timeouts", &retry_timeouts)
                        .flag("--progress", &progress)
                        .flag("--isolate", &isolate)
-                       .value_count("--workers", &workers)
                        .value_count("--max-group-retries", &max_group_retries)
                        .value_size("--worker-mem-mb", &worker_mem_mb)
                        .value_u64("--crash-group", &crash_group)
                        .value_unsigned("--crash-attempts", &crash_attempts)
                        .value("-o", &out)
                        .parse(1, 1);
-  if (!isolate && (workers != 0 || worker_mem_mb != 0 ||
+  if (!isolate && (worker_mem_mb != 0 ||
                    crash_group != std::numeric_limits<std::uint64_t>::max())) {
     throw util::ArgError(
-        "--workers/--worker-mem-mb/--crash-group only apply to --isolate");
+        "--worker-mem-mb/--crash-group only apply to --isolate");
   }
   unsigned shard_index = 0, shard_count = 0;
   if (!shard.empty()) {
@@ -426,21 +462,14 @@ int cmd_grade(int argc, char** argv) {
   if (!lease.empty() && shard.empty()) {
     throw util::ArgError("--lease only applies to --shard runs");
   }
-  const isa::Program p = load_program(pos[0]);
-  plasma::PlasmaCpu cpu = plasma::build_plasma_cpu();
-  const plasma::GateRunResult gr = plasma::run_gate_cpu(cpu, p, 10'000'000);
-  if (!gr.halted) {
-    std::fprintf(stderr, "program does not halt on the gate-level CPU\n");
-    return 1;
-  }
-  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
+  GradeCampaign c;
+  load_grade_campaign(pos[0], sample, &c);
 
   campaign::CampaignOptions copt;
   copt.journal = journal;
   copt.retry_timed_out = retry_timeouts;
   copt.handle_signals = true;
   copt.isolate = isolate;
-  copt.iso.workers = workers;
   copt.iso.max_group_retries = max_group_retries;
   copt.iso.worker_mem_mb = worker_mem_mb;
   copt.telemetry.metrics_path = metrics;
@@ -453,17 +482,10 @@ int cmd_grade(int argc, char** argv) {
     copt.iso.crash_group = static_cast<std::int64_t>(crash_group);
     if (crash_attempts != 0) copt.iso.crash_attempts = crash_attempts;
   }
-  if (engine == "event") {
-    copt.sim.engine = fault::Engine::kEvent;
-  } else if (engine == "sweep") {
-    copt.sim.engine = fault::Engine::kSweep;
-  } else {
-    throw util::ArgError("unknown --engine '" + engine +
-                         "' (want event or sweep)");
-  }
+  copt.sim.engine = parse_engine(engine);
   copt.sim.trace_mem_mb = trace_mem_mb;
   copt.sim.sample = sample;  // 0 => full fault list
-  copt.sim.max_cycles = 10'000'000;
+  copt.sim.max_cycles = kGradeMaxCycles;
   copt.sim.threads = threads;
   copt.sim.group_timeout_ms = group_timeout_s * 1000;
   copt.sim.time_budget_ms = time_budget_s * 1000;
@@ -498,53 +520,34 @@ int cmd_grade(int argc, char** argv) {
     };
   }
 
-  // The fingerprint ties a journal to this exact campaign: program
-  // image, netlist, fault universe, sampling and cycle budget.
-  std::uint64_t fp = campaign::fingerprint_init();
-  fp = campaign::fingerprint_bytes(fp, p.words.data(), p.words.size() * 4);
-  fp = campaign::fingerprint_u64(fp, cpu.netlist.size());
-  fp = campaign::fingerprint_u64(fp, faults.size());
-  fp = campaign::fingerprint_u64(fp, copt.sim.sample);
-  fp = campaign::fingerprint_u64(fp, copt.sim.sample_seed);
-  fp = campaign::fingerprint_u64(fp, copt.sim.max_cycles);
-  // Note: the shard restriction is deliberately NOT part of the
-  // fingerprint — every shard of a campaign shares one identity, which
-  // is exactly what makes their journals mutually mergeable.
-
   std::optional<campaign::LeaseHolder> lease_holder;
   if (!lease.empty()) {
     campaign::LeaseInfo li;
     li.shard = shard_index;
     li.shard_count = shard_count;
     li.pid = static_cast<std::int64_t>(::getpid());
-    li.fingerprint = fp;
+    li.fingerprint = c.fingerprint;
     lease_holder.emplace(lease, li);
   }
 
-  const bool sampled = sample != 0 && sample < faults.size();
-  if (isolate) {
-    std::printf("fault-grading %zu of %zu collapsed faults over %llu cycles"
-                " (%u isolated worker processes)\n",
-                sampled ? sample : faults.size(), faults.size(),
-                (unsigned long long)gr.cycles,
-                workers == 0 ? util::hardware_threads() : workers);
-  } else {
-    std::printf("fault-grading %zu of %zu collapsed faults over %llu cycles"
-                " (%u threads)\n",
-                sampled ? sample : faults.size(), faults.size(),
-                (unsigned long long)gr.cycles,
-                threads == 0 ? util::hardware_threads() : threads);
-  }
+  const bool sampled = sample != 0 && sample < c.faults.size();
+  std::printf("fault-grading %zu of %zu collapsed faults over %llu cycles"
+              " (%u %s)\n",
+              sampled ? sample : c.faults.size(), c.faults.size(),
+              (unsigned long long)c.good_cycles,
+              threads == 0 ? util::hardware_threads() : threads,
+              isolate ? "isolated worker processes" : "threads");
   if (sampled) {
     std::printf("note: sampled run — coverage below is a statistical "
                 "estimate over %zu randomly chosen faults; components whose "
                 "faults were not sampled show n/a. Use --sample 0 for the "
                 "full fault list.\n",
-                sampled ? sample : faults.size());
+                sampled ? sample : c.faults.size());
   }
 
   const campaign::CampaignResult cres = campaign::run_campaign(
-      cpu.netlist, faults, plasma::make_cpu_env_factory(cpu, p), fp, copt);
+      c.cpu.netlist, c.faults, plasma::make_cpu_env_factory(c.cpu, c.program),
+      c.fingerprint, copt);
   if (cres.journal_truncated) {
     std::fprintf(stderr,
                  "warning: %s had a torn trailing record (interrupted "
@@ -634,7 +637,7 @@ int cmd_grade(int argc, char** argv) {
   }
 
   const core::CoverageReport rep =
-      core::make_coverage_report(cpu, faults, cres.result);
+      core::make_coverage_report(c.cpu, c.faults, cres.result);
   std::ostringstream table;
   core::print_coverage_table(table, rep, nullptr);
   std::fputs(table.str().c_str(), stdout);
@@ -648,23 +651,19 @@ int cmd_grade(int argc, char** argv) {
                 "coverage is a lower bound:\n",
                 cres.faults_quarantined, cres.quarantined_groups.size());
     for (const campaign::QuarantinedGroup& q : cres.quarantined_groups) {
-      if (q.error.term_signal != 0) {
-        std::printf("  group %llu: worker killed by signal %d (%s) on all "
-                    "%u attempts (peak rss %llu KB, cpu %llu ms)\n",
-                    (unsigned long long)q.group, q.error.term_signal,
-                    strsignal(q.error.term_signal), q.error.attempts,
-                    (unsigned long long)q.error.max_rss_kb,
-                    (unsigned long long)q.error.cpu_ms);
-      } else {
-        std::printf("  group %llu: worker exited with code %d on all "
-                    "%u attempts (peak rss %llu KB, cpu %llu ms)\n",
-                    (unsigned long long)q.group, q.error.exit_code,
-                    q.error.attempts, (unsigned long long)q.error.max_rss_kb,
-                    (unsigned long long)q.error.cpu_ms);
-      }
+      const int sig = q.error.term_signal;
+      const std::string death =
+          sig != 0 ? "killed by signal " + std::to_string(sig) + " (" +
+                         strsignal(sig) + ")"
+                   : "exited with code " + std::to_string(q.error.exit_code);
+      std::printf("  group %llu: worker %s on all %u attempts (peak rss "
+                  "%llu KB, cpu %llu ms)\n",
+                  (unsigned long long)q.group, death.c_str(),
+                  q.error.attempts, (unsigned long long)q.error.max_rss_kb,
+                  (unsigned long long)q.error.cpu_ms);
     }
     std::printf("re-run with --retry-timeouts (and more --worker-mem-mb or "
-                "fewer --workers) to give them a fresh chance\n");
+                "fewer --threads) to give them a fresh chance\n");
   }
   if (!out.empty()) {
     util::write_file_atomic(out, table.str());
@@ -681,7 +680,6 @@ int cmd_dispatch(int argc, char** argv) {
   std::uint64_t stale_after_s = 10;
   std::uint64_t backoff_ms = 500;
   std::uint64_t backoff_cap_ms = 30'000;
-  bool speculative = false;
   std::string status;
   std::string engine = "event";
   std::size_t sample = 6300;
@@ -697,7 +695,6 @@ int cmd_dispatch(int argc, char** argv) {
                        .value_u64("--stale-after", &stale_after_s)
                        .value_u64("--backoff-ms", &backoff_ms)
                        .value_u64("--backoff-cap-ms", &backoff_cap_ms)
-                       .flag("--speculative", &speculative)
                        .value("--status", &status)
                        .value("--engine", &engine)
                        .value_size("--sample", &sample)
@@ -712,31 +709,14 @@ int cmd_dispatch(int argc, char** argv) {
   if (journal_dir.empty()) {
     throw util::ArgError("--journal-dir is required");
   }
-  if (engine != "event" && engine != "sweep") {
-    throw util::ArgError("unknown --engine '" + engine +
-                         "' (want event or sweep)");
-  }
-  util::parse_durability(durability);  // fail fast, runners re-parse
+  parse_engine(engine);  // fail fast; the runners re-parse both
+  util::parse_durability(durability);
 
-  // Same preamble as cmd_grade: the dispatcher computes the campaign
-  // fingerprint itself (for lease collision checks) and verifies the
-  // program halts once, before forking N runners that would all fail.
-  const isa::Program p = load_program(pos[0]);
-  plasma::PlasmaCpu cpu = plasma::build_plasma_cpu();
-  const plasma::GateRunResult gr = plasma::run_gate_cpu(cpu, p, 10'000'000);
-  if (!gr.halted) {
-    std::fprintf(stderr, "program does not halt on the gate-level CPU\n");
-    return 1;
-  }
-  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
-  const fault::FaultSimOptions sim_defaults;
-  std::uint64_t fp = campaign::fingerprint_init();
-  fp = campaign::fingerprint_bytes(fp, p.words.data(), p.words.size() * 4);
-  fp = campaign::fingerprint_u64(fp, cpu.netlist.size());
-  fp = campaign::fingerprint_u64(fp, faults.size());
-  fp = campaign::fingerprint_u64(fp, sample);
-  fp = campaign::fingerprint_u64(fp, sim_defaults.sample_seed);
-  fp = campaign::fingerprint_u64(fp, 10'000'000);
+  // The dispatcher computes the campaign fingerprint itself (for lease
+  // collision checks) and verifies the program halts once, before
+  // forking N runners that would all fail.
+  GradeCampaign c;
+  load_grade_campaign(pos[0], sample, &c);
 
   char exebuf[4096];
   const ssize_t n = ::readlink("/proc/self/exe", exebuf, sizeof(exebuf) - 1);
@@ -753,8 +733,7 @@ int cmd_dispatch(int argc, char** argv) {
   dopt.stale_after_s = static_cast<double>(stale_after_s);
   dopt.backoff_initial_s = static_cast<double>(backoff_ms) / 1000.0;
   dopt.backoff_cap_s = static_cast<double>(backoff_cap_ms) / 1000.0;
-  dopt.speculative = speculative;
-  dopt.fingerprint = fp;
+  dopt.fingerprint = c.fingerprint;
   dopt.status_path = status;
   dopt.durability = util::parse_durability(durability);
   dopt.cancel = &util::drain_requested();
@@ -784,7 +763,7 @@ int cmd_dispatch(int argc, char** argv) {
 
   std::printf("dispatching %u shard(s) of %s into %s (campaign %016llx)\n",
               shards, prog.c_str(), journal_dir.c_str(),
-              static_cast<unsigned long long>(fp));
+              static_cast<unsigned long long>(c.fingerprint));
   const campaign::DispatchResult res = campaign::run_dispatch(dopt);
 
   for (const campaign::ShardOutcome& s : res.shards) {
@@ -796,10 +775,6 @@ int cmd_dispatch(int argc, char** argv) {
                 s.shard, shards, state, s.attempts, s.redispatches,
                 s.stale_leases != 0 ? ", stale lease" : "",
                 s.error.empty() ? "" : " — ", s.error.c_str());
-  }
-  if (res.speculative_launches != 0) {
-    std::printf("%zu speculative duplicate(s) launched\n",
-                res.speculative_launches);
   }
 
   if (res.interrupted) {
@@ -822,11 +797,13 @@ int cmd_dispatch(int argc, char** argv) {
   }
 
   if (!merged.empty()) {
-    // Merge everything a runner may have written — shard journals plus
-    // speculative duplicates; later-record-wins dedups the overlap.
+    // Merge every shard journal a runner wrote; later-record-wins
+    // dedups groups a re-dispatched runner simulated twice.
     std::vector<std::string> inputs;
-    for (const std::string& j : res.journals) {
-      if (std::ifstream(j, std::ios::binary).good()) inputs.push_back(j);
+    for (const campaign::ShardOutcome& s : res.shards) {
+      if (std::ifstream(s.journal, std::ios::binary).good()) {
+        inputs.push_back(s.journal);
+      }
     }
     const campaign::MergeStats m =
         campaign::merge_journals(inputs, merged, dopt.durability);
@@ -875,10 +852,10 @@ int cmd_stats(int argc, char** argv) {
   // The metrics file is rewritten periodically, so a crash can lose up
   // to a rewrite window of records — the journal has every one of them.
   // Winning records across ALL journals (the concatenation, exactly as
-  // `journal merge` resolves conflicts), so shard journals holding
-  // duplicate groups — speculative re-execution — count each group
-  // once. Counter lines are bit-equal to a clean run's `sbst stats`
-  // output; latency fields (never journaled) read zero.
+  // `journal merge` resolves conflicts), so journals holding duplicate
+  // groups — a quarantined copy next to its healed retry — count each
+  // group once. Counter lines are bit-equal to a clean run's `sbst
+  // stats` output; latency fields (never journaled) read zero.
   std::vector<fault::GroupRecord> records;
   std::uint64_t num_groups = 0;
   bool have_meta = false;
