@@ -8,14 +8,14 @@ class VectorEnvironment final : public Environment {
  public:
   explicit VectorEnvironment(const VectorSet& vectors) : vectors_(&vectors) {}
 
-  void drive(sim::LogicSim& s, std::uint64_t cycle) override {
+  void drive(sim::PortIo& io, std::uint64_t cycle) override {
     if (cycle >= vectors_->size()) return;
     for (const PortValue& pv : (*vectors_)[cycle]) {
-      s.set_input(s.netlist().input(pv.port), pv.value);
+      io.set_input(io.netlist().input(pv.port), pv.value);
     }
   }
 
-  bool observe(const sim::LogicSim&, std::uint64_t cycle) override {
+  bool observe(const sim::PortIo&, std::uint64_t cycle) override {
     return cycle + 1 < vectors_->size();
   }
 

@@ -7,7 +7,8 @@
 // not-yet-detected machine has by definition issued the identical memory
 // traffic as the good machine, so the environment (memory model) only
 // needs to be simulated once, from the good machine's outputs — see
-// DESIGN.md §5.
+// DESIGN.md §5. The sweep kernel therefore runs two groups per 128-bit
+// word (two such 64-bit lanes) under one environment.
 #pragma once
 
 #include <array>
@@ -25,23 +26,27 @@
 namespace sbst::fault {
 
 /// Closed-loop environment around the netlist (memory model, testbench).
-/// One fresh instance is created per fault group; it must be
-/// deterministic. With `FaultSimOptions::threads` != 1 the factory is
-/// invoked concurrently from worker threads, so it (and the construction
-/// of an Environment) must not mutate shared state — capture inputs by
-/// value or by pointer-to-const.
+/// One fresh instance is created per simulation run (a fault group, a
+/// sweep pair of groups, or the recording of the good trace); it must be
+/// deterministic. It sees the simulation through sim::PortIo only:
+/// broadcast input drive and good-machine (machine 63) output reads,
+/// which is all a function of the good machine may depend on. With
+/// `FaultSimOptions::threads` != 1 the factory is invoked concurrently
+/// from worker threads, so it (and the construction of an Environment)
+/// must not mutate shared state — capture inputs by value or by
+/// pointer-to-const.
 class Environment {
  public:
   virtual ~Environment() = default;
 
   /// Drives primary inputs for cycle `cycle` (broadcast values only).
   /// Called before combinational evaluation.
-  virtual void drive(sim::LogicSim& sim, std::uint64_t cycle) = 0;
+  virtual void drive(sim::PortIo& io, std::uint64_t cycle) = 0;
 
-  /// Observes good-machine outputs after evaluation of cycle `cycle`
-  /// (read with machine=63). Returns false to stop the run (e.g. the
-  /// program under simulation halted).
-  virtual bool observe(const sim::LogicSim& sim, std::uint64_t cycle) = 0;
+  /// Observes good-machine outputs after evaluation of cycle `cycle`.
+  /// Returns false to stop the run (e.g. the program under simulation
+  /// halted).
+  virtual bool observe(const sim::PortIo& io, std::uint64_t cycle) = 0;
 };
 
 using EnvFactory = std::function<std::unique_ptr<Environment>()>;
@@ -146,9 +151,9 @@ struct FaultSimOptions {
   std::uint64_t sample_seed = 0x5eed5bd7u;
   /// Worker threads for group-level parallel simulation. 0 = one per
   /// hardware thread; 1 = serial. Fault groups are independent by
-  /// construction (fresh LogicSim + Environment per group, disjoint
-  /// result indices), so the result is bit-identical for every thread
-  /// count.
+  /// construction (fresh simulation state + Environment per run,
+  /// disjoint result indices), so the result is bit-identical for every
+  /// thread count.
   unsigned threads = 0;
   /// Optional progress callback. Invoked under an internal mutex (never
   /// concurrently), but from worker threads when threads != 1; groups
@@ -251,7 +256,8 @@ struct FaultSimResult {
 /// evaluations actually performed and machine cycles simulated.
 /// `gates_evaluated`, `cycles` and `evals_by_kind` are deterministic
 /// (bit-stable for a fixed netlist/engine); `eval_ns` is run-local wall
-/// clock spent inside simulate(), like GroupMetric::duration_ms.
+/// clock spent inside simulate() and simulate_pair(), like
+/// GroupMetric::duration_ms (which charges each group of a pair half).
 struct KernelStats {
   std::uint64_t gates_evaluated = 0;
   std::uint64_t cycles = 0;
@@ -263,7 +269,10 @@ struct KernelStats {
 /// environment produced by `make_env`. The engine performs fault dropping
 /// (a group stops as soon as all of its faults are detected) and
 /// schedules 63-fault groups across `options.threads` workers, each with
-/// its own LogicSim and injection state.
+/// its own simulation and injection state. Under Engine::kSweep a work
+/// item is two consecutive groups of the schedule, swept as one pair
+/// (GroupSimulator::simulate_pair); records, hooks and progress stay
+/// per group.
 FaultSimResult run_fault_sim(const nl::Netlist& netlist,
                              const nl::FaultList& faults,
                              const EnvFactory& make_env,
@@ -314,9 +323,9 @@ class GroupPlan {
 
 class SharedTraceSource;
 
-/// Worker-owned simulation state (LogicSim + injection table) able to
-/// simulate any group of a plan. Construction levelizes the netlist —
-/// build one per worker thread, or once before forking isolated worker
+/// Worker-owned simulation state (sweep values, injection tables, event
+/// kernel) able to simulate any group of a plan, allocated on first use
+/// — build one per worker thread, or once before forking isolated worker
 /// processes (children inherit it copy-on-write). Not thread-safe;
 /// `plan`, `netlist` and `faults` must outlive the simulator.
 ///
@@ -347,8 +356,17 @@ class GroupSimulator {
   /// Simulates one group to a record (honours max_cycles,
   /// group_timeout_ms and the run deadline; sets timed_out when a bound
   /// cut the group short). Bit-deterministic absent wall-clock cutoffs,
-  /// and bit-identical across both kernels.
+  /// and bit-identical across both kernels. The one-group case of
+  /// simulate_pair: under the sweep the group runs alone in a pair.
   GroupRecord simulate(std::size_t group);
+
+  /// Simulates two distinct groups. The sweep runs them in lock-step,
+  /// one group per 64-bit lane of a 128-bit word, under one environment
+  /// (it follows the good machine, which both lanes share); the event
+  /// kernel runs them one after the other. Each record equals what
+  /// simulate() gives for its group alone, absent wall-clock cutoffs; a
+  /// sweep pair shares one group_timeout_ms bound from its start.
+  std::array<GroupRecord, 2> simulate_pair(std::size_t a, std::size_t b);
 
   /// Work performed by this simulator so far, whichever kernel ran.
   KernelStats stats() const;

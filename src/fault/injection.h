@@ -7,9 +7,16 @@
 // ANDNOT-ing (stuck-at-0) that bit on one pin of one gate. Injections
 // are aggregated per gate so the hot loops do an O(1) slot lookup
 // instead of scanning the group's fault list.
+//
+// The types are templates on the simulation word. The event kernel uses
+// the 64-bit Word aliases below; the sweep instantiates them on its
+// 128-bit two-lane pair, where lane l's faults own machine bits
+// 64*l .. 64*l+62, so each lane's forcing stays its own.
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "netlist/fault.h"
@@ -19,16 +26,31 @@ namespace sbst::fault::detail {
 
 using sim::Word;
 
+/// The word of type W with only machine bit `bit` set (bit 64*l + i is
+/// bit i of lane l for a vector pair).
+template <class W>
+inline W machine_mask(int bit) {
+  if constexpr (std::is_same_v<W, Word>) {
+    return Word{1} << bit;
+  } else {
+    W m{};
+    m[bit >> 6] = Word{1} << (bit & 63);
+    return m;
+  }
+}
+
 /// One injected fault inside the active group.
-struct Injection {
+template <class W>
+struct InjectionT {
   nl::GateId gate;
   std::uint8_t pin;    // 0 = output, 1..3 = input branch
   std::uint8_t stuck;  // forced value
-  Word mask;           // single machine bit
+  W mask;              // single machine bit
 };
 
 /// Applies output-style forcing of `stuck` on `mask` bits of `w`.
-inline Word force(Word w, Word mask, std::uint8_t stuck) {
+template <class W>
+inline W force(W w, W mask, std::uint8_t stuck) {
   return stuck ? (w | mask) : (w & ~mask);
 }
 
@@ -37,18 +59,23 @@ inline Word force(Word w, Word mask, std::uint8_t stuck) {
 /// distinct machine bit, so set/clr never collide on a bit and the
 /// aggregate is order-independent. For DFF gates, slot 1 holds the
 /// D-pin force and slot 0 the Q-output force.
-struct GateForce {
-  Word set[4] = {0, 0, 0, 0};
-  Word clr[4] = {0, 0, 0, 0};
+template <class W>
+struct GateForceT {
+  W set[4] = {};
+  W clr[4] = {};
 };
 
 /// Per-group injection table. Injections on combinational gates and on
 /// DFF pins are indexed per gate (slot() is an O(1) lookup into dense
 /// GateForce records), so neither the evaluation sweep nor the clock
 /// step ever scans the group's fault list.
-class InjectionTable {
+template <class W>
+class InjectionTableT {
  public:
-  explicit InjectionTable(std::size_t num_gates) : slot_(num_gates, 0) {}
+  using Injection = InjectionT<W>;
+  using GateForce = GateForceT<W>;
+
+  explicit InjectionTableT(std::size_t num_gates) : slot_(num_gates, 0) {}
 
   void clear() {
     for (nl::GateId g : touched_) slot_[g] = 0;
@@ -60,7 +87,7 @@ class InjectionTable {
   }
 
   void add(const nl::Netlist& netlist, const nl::Fault& f, int machine_bit) {
-    const Word mask = Word{1} << machine_bit;
+    const W mask = machine_mask<W>(machine_bit);
     const nl::GateKind kind = netlist.gate(f.gate).kind;
     const bool is_source = kind == nl::GateKind::kInput ||
                            kind == nl::GateKind::kConst0 ||
@@ -96,13 +123,16 @@ class InjectionTable {
   const std::vector<nl::GateId>& slotted_gates() const { return touched_; }
 
  private:
-  void add_force(const nl::Fault& f, Word mask) {
+  void add_force(const nl::Fault& f, W mask) {
     std::uint32_t s = slot_[f.gate];
     if (s == 0) {
+      if (forces_.size() == kMaxSlots) {
+        throw std::length_error("injection table: too many forced gates");
+      }
       forces_.emplace_back();
       touched_.push_back(f.gate);
       s = static_cast<std::uint32_t>(forces_.size());
-      slot_[f.gate] = s;
+      slot_[f.gate] = static_cast<std::uint8_t>(s);
     }
     GateForce& gf = forces_[s - 1];
     if (f.stuck) {
@@ -112,12 +142,19 @@ class InjectionTable {
     }
   }
 
-  std::vector<std::uint32_t> slot_;  // 0 = clean, else index+1 into forces_
+  /// A byte per gate keeps the table small: one table holds at most two
+  /// 63-fault groups (a sweep pair), so at most 126 forced gates.
+  static constexpr std::size_t kMaxSlots = 255;
+  std::vector<std::uint8_t> slot_;  // 0 = clean, else index+1 into forces_
   std::vector<nl::GateId> touched_;
   std::vector<GateForce> forces_;
   std::vector<Injection> source_list_;
   std::vector<Injection> dff_d_list_;
   std::vector<Injection> dff_q_list_;
 };
+
+using Injection = InjectionT<Word>;
+using GateForce = GateForceT<Word>;
+using InjectionTable = InjectionTableT<Word>;
 
 }  // namespace sbst::fault::detail

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "fault/event_kernel.h"
 #include "fault/faultsim.h"
@@ -22,42 +24,25 @@ namespace sbst::fault {
 namespace {
 
 using sim::Word;
-using detail::force;
-using detail::Injection;
-using detail::InjectionTable;
 
-/// Fault-aware evaluation sweep. Identical to LogicSim::eval() except that
-/// flagged gates apply input-branch and output-stem forcing.
-void eval_with_injections(sim::LogicSim& s, const InjectionTable& inj) {
-  const nl::Netlist& netlist = s.netlist();
-  const auto& order = s.levelization().comb_order;
-  Word* const v = s.values().data();
-  for (nl::GateId g : order) {
-    const nl::Gate& gate = netlist.gate(g);
-    Word a = v[gate.in[0]];
-    Word b = gate.in[1] == nl::kNoGate ? 0 : v[gate.in[1]];
-    Word c = gate.in[2] == nl::kNoGate ? 0 : v[gate.in[2]];
-    if (const std::uint32_t slot = inj.slot(g); slot != 0) [[unlikely]] {
-      const detail::GateForce& f = inj.force_record(slot);
-      a = (a | f.set[1]) & ~f.clr[1];
-      b = (b | f.set[2]) & ~f.clr[2];
-      c = (c | f.set[3]) & ~f.clr[3];
-      const Word w = sim::eval_gate(gate.kind, a, b, c);
-      v[g] = (w | f.set[0]) & ~f.clr[0];
-    } else {
-      v[g] = sim::eval_gate(gate.kind, a, b, c);
-    }
-  }
-}
+/// The sweep's simulation word: two 64-machine lanes side by side. Lane
+/// l simulates one group, its faulty machines in bits 0..62 and the good
+/// machine in bit 63, so one pass of the netlist advances two groups.
+/// GCC/Clang vector extension; the bitwise operators lower to SSE2.
+using PairWord = std::uint64_t __attribute__((vector_size(16)));
+constexpr int kLanes = 2;
+constexpr int kLaneBits = 64;
+using PairInjections = detail::InjectionTableT<PairWord>;
+using PairForce = detail::GateForceT<PairWord>;
 
-/// Per-group fixup sites for the compiled sweep: the slotted (injected)
-/// combinational gates, grouped by level. Rebuilt per group.
+/// Per-pair fixup sites for the compiled sweep: the slotted (injected)
+/// combinational gates of both lanes, grouped by level. Rebuilt per pair.
 struct CompiledFixups {
   std::vector<std::vector<nl::GateId>> by_level;  // sized max_level + 1
   std::vector<std::uint32_t> levels;              // touched levels, sorted
 
   void rebuild(const nl::CompiledNetlist& cn, const nl::Netlist& netlist,
-               const InjectionTable& inj) {
+               const PairInjections& inj) {
     for (std::uint32_t lvl : levels) by_level[lvl].clear();
     levels.clear();
     if (by_level.size() < static_cast<std::size_t>(cn.lv.max_level) + 1) {
@@ -73,98 +58,214 @@ struct CompiledFixups {
   }
 };
 
-/// Compiled fault-aware sweep: branch-free per-run evaluation,
-/// with the handful of injected gates re-evaluated interpretively at the
-/// end of their level (their consumers sit at strictly higher levels, so
-/// the fixup lands before anything reads the forced word). Operands are
-/// read through the fold roots because copies materialize only after the
-/// sweep. Bit-identical to eval_with_injections on every gate.
-void eval_compiled_with_injections(sim::LogicSim& s,
-                                   const nl::CompiledNetlist& cn,
-                                   const InjectionTable& inj,
-                                   const CompiledFixups& fixups) {
-  const nl::Netlist& netlist = s.netlist();
-  Word* const v = s.values().data();
-  if (fixups.levels.empty()) {
-    for (const nl::CompiledRun& r : cn.runs) nl::eval_run(cn, r, v);
-  } else {
-    auto rd = [&](nl::GateId d) -> Word {
-      return d < cn.num_gates ? v[cn.fold_root[d]] : 0;
-    };
-    std::size_t fx = 0;
-    const std::uint32_t num_levels = cn.lv.max_level + 1;
-    for (std::uint32_t lvl = 0; lvl < num_levels; ++lvl) {
-      for (std::uint32_t r = cn.level_run_begin[lvl];
-           r < cn.level_run_begin[lvl + 1]; ++r) {
-        nl::eval_run(cn, cn.runs[r], v);
+/// Fault-aware sweep state for two groups in lock-step: one PairWord per
+/// gate (plus CompiledNetlist's always-zero slot) and the injection
+/// table of both lanes. It is also the PortIo the environment drives and
+/// observes, as in DESIGN.md §5: inputs are broadcast into both lanes,
+/// outputs are read from bit 63 of lane 0. Both lanes' bit 63 is the
+/// same good machine (injections never touch it), so one environment
+/// serves the pair.
+class PairSweep final : public sim::PortIo {
+ public:
+  PairSweep(const nl::Netlist& netlist, const nl::CompiledNetlist& cn)
+      : netlist_(&netlist),
+        cn_(&cn),
+        v_(netlist.size() + 1),
+        next_(cn.dff_gate.size()),
+        inj_(netlist.size()) {}
+
+  const nl::Netlist& netlist() const override { return *netlist_; }
+
+  void set_input(const nl::Port& port, std::uint64_t value) override {
+    for (int i = 0; i < port.width(); ++i) {
+      v_[port.bits[static_cast<std::size_t>(i)]] =
+          ((value >> i) & 1u) ? ~PairWord{} : PairWord{};
+    }
+  }
+
+  std::uint64_t read_output(const nl::Port& port) const override {
+    std::uint64_t out = 0;
+    for (int i = 0; i < port.width(); ++i) {
+      const PairWord w = v_[port.bits[static_cast<std::size_t>(i)]];
+      out |= ((w[0] >> 63) & 1u) << i;
+    }
+    return out;
+  }
+
+  /// The pair's injections: lane l's fault i owns machine bit 64*l + i.
+  PairInjections& injections() { return inj_; }
+
+  /// Starts a pair after its injections were added: picks the evaluator,
+  /// loads reset state and applies the state injections. The compiled
+  /// program runs unless an injection sits on a gate the compiler folded
+  /// away (faults never sit on BUF gates — fault.h strips them from the
+  /// universe — but hand-built fault lists can, and then the whole pair
+  /// runs the interpreted sweep).
+  void start() {
+    compiled_ = true;
+    for (nl::GateId g : inj_.slotted_gates()) {
+      if (netlist_->gate(g).kind != nl::GateKind::kDff &&
+          cn_->node_of_gate[g] == nl::kNoNode) {
+        compiled_ = false;
       }
-      if (fx < fixups.levels.size() && fixups.levels[fx] == lvl) {
-        for (nl::GateId g : fixups.by_level[lvl]) {
-          const nl::Gate& gate = netlist.gate(g);
-          const detail::GateForce& f = inj.force_record(inj.slot(g));
-          Word a = (rd(gate.in[0]) | f.set[1]) & ~f.clr[1];
-          Word b = (rd(gate.in[1]) | f.set[2]) & ~f.clr[2];
-          Word c = (rd(gate.in[2]) | f.set[3]) & ~f.clr[3];
-          const Word w = sim::eval_gate(gate.kind, a, b, c);
-          v[g] = (w | f.set[0]) & ~f.clr[0];
+    }
+    if (compiled_) fixups_.rebuild(*cn_, *netlist_, inj_);
+    d_forces_.clear();
+    for (std::size_t i = 0; i < cn_->dff_gate.size(); ++i) {
+      if (const std::uint32_t slot = inj_.slot(cn_->dff_gate[i]); slot != 0) {
+        d_forces_.emplace_back(i, slot);
+      }
+    }
+    for (nl::GateId g = 0; g < netlist_->size(); ++g) {
+      const nl::Gate& gate = netlist_->gate(g);
+      switch (gate.kind) {
+        case nl::GateKind::kConst0: v_[g] = PairWord{}; break;
+        case nl::GateKind::kConst1: v_[g] = ~PairWord{}; break;
+        case nl::GateKind::kInput:  v_[g] = PairWord{}; break;
+        case nl::GateKind::kDff:
+          v_[g] = gate.reset_val ? ~PairWord{} : PairWord{};
+          break;
+        default: break;
+      }
+    }
+    v_[cn_->zero_slot] = PairWord{};
+    apply_state_injections();
+  }
+
+  /// Evaluates the combinational logic of the driven cycle with
+  /// input-branch and output-stem forcing on the injected gates.
+  void eval() {
+    apply_state_injections();
+    if (compiled_) {
+      eval_compiled();
+    } else {
+      eval_interpreted();
+    }
+  }
+
+  /// Detection words: per lane, the machines whose primary outputs
+  /// differ from the lane's good machine (bit 63, which reads 0 here).
+  PairWord po_diff(const std::vector<nl::GateId>& po_bits) const {
+    PairWord diff{};
+    const PairWord* const v = v_.data();
+    for (nl::GateId b : po_bits) {
+      const PairWord w = v[b];
+      diff |= w ^ (PairWord{} - (w >> 63));  // good bit across the lane
+    }
+    return diff;
+  }
+
+  /// Clocks DFFs with D-pin fault forcing, then re-applies Q-output
+  /// faults. D is read through its fold root when the compiled program
+  /// ran (copies have materialized, so the value is the same), else
+  /// through the original driver, which the interpreted sweep evaluated
+  /// with its forcing.
+  void step_clock() {
+    const std::size_t num_dffs = cn_->dff_gate.size();
+    const nl::GateId* const q = cn_->dff_gate.data();
+    PairWord* const v = v_.data();
+    if (compiled_) {
+      const std::uint32_t* const d = cn_->dff_d.data();
+      for (std::size_t i = 0; i < num_dffs; ++i) next_[i] = v[d[i]];
+    } else {
+      for (std::size_t i = 0; i < num_dffs; ++i) {
+        next_[i] = v[netlist_->gate(q[i]).in[0]];
+      }
+    }
+    for (const auto& [i, slot] : d_forces_) {
+      const PairForce& f = inj_.force_record(slot);
+      next_[i] = (next_[i] | f.set[1]) & ~f.clr[1];
+    }
+    for (std::size_t i = 0; i < num_dffs; ++i) v[q[i]] = next_[i];
+    for (const auto& f : inj_.dff_q()) {
+      v[f.gate] = detail::force(v[f.gate], f.mask, f.stuck);
+    }
+  }
+
+ private:
+  /// Stuck-at forcing on source gates (PIs, constants) and DFF outputs;
+  /// runs after inputs are driven / DFFs updated.
+  void apply_state_injections() {
+    PairWord* const v = v_.data();
+    for (const auto& i : inj_.sources()) {
+      v[i.gate] = detail::force(v[i.gate], i.mask, i.stuck);
+    }
+    for (const auto& i : inj_.dff_q()) {
+      v[i.gate] = detail::force(v[i.gate], i.mask, i.stuck);
+    }
+  }
+
+  /// Compiled sweep: branch-free per-run evaluation, with the handful of
+  /// injected gates re-evaluated interpretively at the end of their level
+  /// (their consumers sit at strictly higher levels, so the fixup lands
+  /// before anything reads the forced word). Operands are read through
+  /// the fold roots because copies materialize only after the sweep.
+  /// Bit-identical to eval_interpreted on every gate.
+  void eval_compiled() {
+    const nl::CompiledNetlist& cn = *cn_;
+    PairWord* const v = v_.data();
+    if (fixups_.levels.empty()) {
+      for (const nl::CompiledRun& r : cn.runs) nl::eval_run(cn, r, v);
+    } else {
+      auto rd = [&](nl::GateId d) -> PairWord {
+        return d < cn.num_gates ? v[cn.fold_root[d]] : PairWord{};
+      };
+      std::size_t fx = 0;
+      const std::uint32_t num_levels = cn.lv.max_level + 1;
+      for (std::uint32_t lvl = 0; lvl < num_levels; ++lvl) {
+        for (std::uint32_t r = cn.level_run_begin[lvl];
+             r < cn.level_run_begin[lvl + 1]; ++r) {
+          nl::eval_run(cn, cn.runs[r], v);
         }
-        ++fx;
+        if (fx < fixups_.levels.size() && fixups_.levels[fx] == lvl) {
+          for (nl::GateId g : fixups_.by_level[lvl]) {
+            const nl::Gate& gate = netlist_->gate(g);
+            const PairForce& f = inj_.force_record(inj_.slot(g));
+            const PairWord a = (rd(gate.in[0]) | f.set[1]) & ~f.clr[1];
+            const PairWord b = (rd(gate.in[1]) | f.set[2]) & ~f.clr[2];
+            const PairWord c = (rd(gate.in[2]) | f.set[3]) & ~f.clr[3];
+            const PairWord w = sim::eval_gate(gate.kind, a, b, c);
+            v[g] = (w | f.set[0]) & ~f.clr[0];
+          }
+          ++fx;
+        }
+      }
+    }
+    nl::apply_copies(cn, v);
+  }
+
+  /// Interpreted sweep over the original gates in levelized order, for
+  /// pairs with an injection on a folded gate.
+  void eval_interpreted() {
+    PairWord* const v = v_.data();
+    for (nl::GateId g : cn_->lv.comb_order) {
+      const nl::Gate& gate = netlist_->gate(g);
+      PairWord a = v[gate.in[0]];
+      PairWord b = gate.in[1] == nl::kNoGate ? PairWord{} : v[gate.in[1]];
+      PairWord c = gate.in[2] == nl::kNoGate ? PairWord{} : v[gate.in[2]];
+      if (const std::uint32_t slot = inj_.slot(g); slot != 0) [[unlikely]] {
+        const PairForce& f = inj_.force_record(slot);
+        a = (a | f.set[1]) & ~f.clr[1];
+        b = (b | f.set[2]) & ~f.clr[2];
+        c = (c | f.set[3]) & ~f.clr[3];
+        const PairWord w = sim::eval_gate(gate.kind, a, b, c);
+        v[g] = (w | f.set[0]) & ~f.clr[0];
+      } else {
+        v[g] = sim::eval_gate(gate.kind, a, b, c);
       }
     }
   }
-  nl::apply_copies(cn, v);
-}
 
-/// Applies stuck-at forcing on source gates (PIs, constants) and DFF
-/// outputs; must run after inputs are driven / DFFs updated.
-void apply_state_injections(sim::LogicSim& s, const InjectionTable& inj) {
-  Word* const v = s.values().data();
-  for (const Injection& i : inj.sources()) {
-    v[i.gate] = force(v[i.gate], i.mask, i.stuck);
-  }
-  for (const Injection& i : inj.dff_q()) {
-    v[i.gate] = force(v[i.gate], i.mask, i.stuck);
-  }
-}
-
-/// Clocks DFFs with D-pin fault forcing, then re-applies Q-output faults.
-/// D-pin injections are folded into the per-gate slot table, so forcing
-/// is an O(1) lookup per DFF instead of a scan of the group's fault list.
-void step_clock_with_injections(sim::LogicSim& s, const InjectionTable& inj) {
-  const nl::Netlist& netlist = s.netlist();
-  const auto& dffs = s.levelization().dffs;
-  Word* const v = s.values().data();
-  thread_local std::vector<Word> next;
-  next.resize(dffs.size());
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    const nl::GateId g = dffs[i];
-    Word nx = v[netlist.gate(g).in[0]];
-    if (const std::uint32_t slot = inj.slot(g); slot != 0) [[unlikely]] {
-      const detail::GateForce& f = inj.force_record(slot);
-      nx = (nx | f.set[1]) & ~f.clr[1];
-    }
-    next[i] = nx;
-  }
-  for (std::size_t i = 0; i < dffs.size(); ++i) v[dffs[i]] = next[i];
-  for (const Injection& f : inj.dff_q()) {
-    v[f.gate] = force(v[f.gate], f.mask, f.stuck);
-  }
-}
-
-/// Detection word: bits where a machine's PO differs from the good
-/// machine (bit 63). Walks the flat precomputed PO-bit list instead of
-/// the nested Port structure — this runs once per simulated cycle.
-inline Word po_diff(const sim::LogicSim& s) {
-  Word diff = 0;
-  const Word* const v = s.values().data();
-  for (nl::GateId b : s.po_bits()) {
-    const Word w = v[b];
-    // Arithmetic right shift replicates bit 63 across the word.
-    const Word good = static_cast<Word>(static_cast<std::int64_t>(w) >> 63);
-    diff |= w ^ good;
-  }
-  return diff & ~(Word{1} << 63);
-}
+  const nl::Netlist* netlist_;
+  const nl::CompiledNetlist* cn_;
+  std::vector<PairWord> v_;
+  std::vector<PairWord> next_;  // DFF sampling scratch
+  PairInjections inj_;
+  CompiledFixups fixups_;
+  /// D-pin-injected DFFs of the pair: (DFF index, injection slot).
+  std::vector<std::pair<std::size_t, std::uint32_t>> d_forces_;
+  bool compiled_ = true;
+};
 
 std::vector<std::size_t> choose_sample(std::size_t universe, std::size_t n,
                                        std::uint64_t seed) {
@@ -287,23 +388,24 @@ struct GroupSimulator::Impl {
   std::chrono::steady_clock::time_point run_deadline =
       std::chrono::steady_clock::time_point::max();
   // Campaign-shared compiled program (compiled privately when the caller
-  // did not pass one). Initialized before `sim` so the simulator can
-  // reuse it.
+  // did not pass one); its levelization serves both kernels.
   std::shared_ptr<const nl::CompiledNetlist> compiled;
-  sim::LogicSim sim;
-  InjectionTable inj;
+  std::vector<nl::GateId> po_bits;
   // Per-cycle static sweep tallies: how many comb gates of each base-op
   // class one full sweep evaluates (folded BUFs class as the AND lane
   // they forward through). A pure function of the netlist, so sweep
   // evals_by_kind does not depend on which sweep evaluator ran.
   std::array<std::uint64_t, nl::kNumCompiledOps> sweep_kinds_per_cycle = {
       0, 0, 0, 0};
-  CompiledFixups fixups;
+  // Sweep state, built on the first swept group.
+  std::optional<PairSweep> sweep;
   // Event-engine state: the campaign-shared trace source (null = sweep),
-  // the differential kernel built on first successful trace fetch, and
-  // a latch that pins the sweep fallback once recording has failed.
+  // the differential kernel and its injection table built on first
+  // successful trace fetch, and a latch that pins the sweep fallback
+  // once recording has failed.
   std::shared_ptr<SharedTraceSource> trace_source;
   std::optional<EventKernel> event;
+  std::optional<detail::InjectionTable> event_inj;
   std::shared_ptr<const GoodTrace> trace;
   bool event_unavailable = false;
   KernelStats sweep_stats;
@@ -320,8 +422,7 @@ struct GroupSimulator::Impl {
         max_cycles(options.max_cycles),
         group_timeout_ms(options.group_timeout_ms),
         compiled(comp ? std::move(comp) : nl::compile(n)),
-        sim(n, compiled),
-        inj(n.size()),
+        po_bits(sim::flat_po_bits(n)),
         trace_source(std::move(trace_src)) {
     for (nl::GateId g : compiled->lv.comb_order) {
       ++sweep_kinds_per_cycle[static_cast<std::size_t>(
@@ -329,20 +430,171 @@ struct GroupSimulator::Impl {
     }
   }
 
-  /// True when every non-DFF injection site of the current group has a
-  /// compiled node (faults never sit on BUF gates — fault.h strips them
-  /// from the universe — but hand-built fault lists can, and those
-  /// groups run the interpreted sweep instead).
-  bool group_compilable() const {
-    for (nl::GateId g : inj.slotted_gates()) {
-      if (netlist.gate(g).kind != nl::GateKind::kDff &&
-          compiled->node_of_gate[g] == nl::kNoNode) {
-        return false;
+  /// Adds `group`'s faults to `inj`, fault i on machine bit first_bit + i.
+  template <class Table>
+  void inject(std::size_t group, int first_bit, Table* inj) const {
+    const std::vector<std::size_t>& active = plan.active();
+    const std::size_t base = group * kFaultsPerGroup;
+    const int count = static_cast<int>(plan.group_count(group));
+    for (int i = 0; i < count; ++i) {
+      inj->add(netlist, faults.faults[active[base + i]], first_bit + i);
+    }
+  }
+
+  void simulate_event(const KernelDeadlines& deadlines, GroupRecord* rec);
+  void simulate_sweep(const KernelDeadlines& deadlines, GroupRecord* recs,
+                      int lanes);
+  void simulate(const std::size_t* groups, int n, GroupRecord* recs);
+};
+
+void GroupSimulator::Impl::simulate_event(const KernelDeadlines& deadlines,
+                                          GroupRecord* rec) {
+  if (!event) {
+    event.emplace(netlist, compiled->lv, po_bits, trace);
+    event_inj.emplace(netlist.size());
+  }
+  event_inj->clear();
+  inject(rec->group, 0, &*event_inj);
+  const KernelStats before = event->stats();
+  event->simulate(*event_inj, static_cast<int>(rec->count), deadlines, rec);
+  const KernelStats& after = event->stats();
+  rec->gates_evaluated = after.gates_evaluated - before.gates_evaluated;
+  rec->sim_cycles = after.cycles - before.cycles;
+  for (std::size_t i = 0; i < rec->evals_by_kind.size(); ++i) {
+    rec->evals_by_kind[i] = after.evals_by_kind[i] - before.evals_by_kind[i];
+  }
+  rec->engine_used = GroupEngine::kEvent;
+}
+
+/// Sweeps `lanes` (1 or 2) groups in lock-step under one environment.
+/// Each lane keeps its own detection and stops counting once its group
+/// is fully detected, so its record is exactly what a lone run gives;
+/// the pair ends when every lane is done, the environment halts or
+/// max_cycles is reached. A lone group runs in lane 0 of a pair.
+void GroupSimulator::Impl::simulate_sweep(const KernelDeadlines& deadlines,
+                                          GroupRecord* recs, int lanes) {
+  if (!sweep) sweep.emplace(netlist, *compiled);
+  PairSweep& st = *sweep;
+  st.injections().clear();
+  std::array<Word, kLanes> all_mask = {0, 0};
+  std::array<Word, kLanes> detected = {0, 0};
+  std::array<bool, kLanes> live = {false, false};
+  for (int l = 0; l < lanes; ++l) {
+    inject(recs[l].group, l * kLaneBits, &st.injections());
+    all_mask[l] = (Word{1} << recs[l].count) - 1;  // count <= 63
+    live[l] = true;
+  }
+  int num_live = lanes;
+  st.start();
+  std::unique_ptr<Environment> env = make_env();
+
+  // Closes lane l's record: `cycles` as a lone run reports them, and
+  // `evaluated` swept cycles for the work counters. Sweep counters are
+  // normalized to the interpreted sweep (every comb gate once per cycle,
+  // folded BUFs included), so they are a pure function of (netlist,
+  // evaluated cycles) whichever evaluator ran.
+  const auto finish_lane = [&](int l, std::uint64_t cycles,
+                               std::uint64_t evaluated) {
+    GroupRecord& rec = recs[l];
+    rec.detected_mask = detected[l];
+    rec.cycles = cycles;
+    rec.gates_evaluated = evaluated * compiled->lv.comb_order.size();
+    rec.sim_cycles = evaluated;
+    for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
+      rec.evals_by_kind[i] = evaluated * sweep_kinds_per_cycle[i];
+      sweep_stats.evals_by_kind[i] += rec.evals_by_kind[i];
+    }
+    rec.engine_used = GroupEngine::kSweep;
+    sweep_stats.cycles += evaluated;
+    sweep_stats.gates_evaluated += rec.gates_evaluated;
+    live[l] = false;
+    --num_live;
+  };
+
+  std::uint64_t cycle = 0;
+  for (; cycle < max_cycles; ++cycle) {
+    // Amortized watchdog: one clock read every 1024 cycles keeps the
+    // bound within ~ms granularity without slowing the hot loop.
+    if (deadlines.active && (cycle & 1023u) == 1023u) [[unlikely]] {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadlines.group_deadline || now >= deadlines.run_deadline) {
+        for (int l = 0; l < lanes; ++l) recs[l].timed_out = live[l];
+        break;
       }
     }
-    return true;
+    env->drive(st, cycle);
+    st.eval();
+
+    const PairWord diff = st.po_diff(po_bits);
+    for (int l = 0; l < lanes; ++l) {
+      if (!live[l]) continue;
+      const Word new_bits = diff[l] & all_mask[l] & ~detected[l];
+      if (new_bits == 0) continue;
+      Word d = new_bits;
+      while (d != 0) {
+        const int bit = std::countr_zero(d);
+        d &= d - 1;
+        recs[l].detect_cycle[static_cast<std::size_t>(bit)] =
+            static_cast<std::int64_t>(cycle);
+      }
+      detected[l] |= new_bits;
+      // Fault dropping: the lane's group is done.
+      if (detected[l] == all_mask[l]) finish_lane(l, cycle, cycle + 1);
+    }
+    if (num_live == 0) break;
+
+    const bool keep_going = env->observe(st, cycle);
+    st.step_clock();
+    if (!keep_going) {
+      ++cycle;
+      break;
+    }
   }
-};
+  for (int l = 0; l < lanes; ++l) {
+    if (live[l]) finish_lane(l, cycle, cycle);
+  }
+}
+
+void GroupSimulator::Impl::simulate(const std::size_t* groups, int n,
+                                    GroupRecord* recs) {
+  using Clock = std::chrono::steady_clock;
+
+  // Event engine: fetch the campaign-shared good trace (the first fetch
+  // records it; recording honours the run deadline and cancel flag). A
+  // failed recording latches the sweep fallback for this worker. The
+  // fetch sits outside the group clock: recording, or waiting for
+  // another worker to finish it, is campaign work, not this group's.
+  if (trace_source && !trace && !event_unavailable) {
+    trace = trace_source->get();
+    if (!trace) event_unavailable = true;
+  }
+
+  const Clock::time_point started = Clock::now();
+  for (int i = 0; i < n; ++i) recs[i] = plan.unstarted_record(groups[i]);
+  // group_timeout_ms bounds each simulation from its own start; the two
+  // lanes of a sweep pair start together and share one bound.
+  const auto deadlines = [&] {
+    KernelDeadlines d;
+    d.active =
+        group_timeout_ms != 0 || run_deadline != Clock::time_point::max();
+    d.group_deadline =
+        group_timeout_ms != 0
+            ? Clock::now() + std::chrono::milliseconds(group_timeout_ms)
+            : Clock::time_point::max();
+    d.run_deadline = run_deadline;
+    return d;
+  };
+
+  if (trace) {
+    for (int i = 0; i < n; ++i) simulate_event(deadlines(), &recs[i]);
+  } else {
+    simulate_sweep(deadlines(), recs, n);
+  }
+  eval_ns += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           started)
+          .count());
+}
 
 GroupSimulator::GroupSimulator(
     const nl::Netlist& netlist, const nl::FaultList& faults,
@@ -376,140 +628,17 @@ KernelStats GroupSimulator::stats() const {
 }
 
 GroupRecord GroupSimulator::simulate(std::size_t group) {
-  using Clock = std::chrono::steady_clock;
-  Impl& im = *impl_;
-
-  // Event engine: fetch the campaign-shared good trace (the first fetch
-  // records it; recording honours the run deadline and cancel flag). A
-  // failed recording latches the sweep fallback for this worker. The
-  // fetch sits outside the group clock: recording, or waiting for
-  // another worker to finish it, is campaign work, not this group's.
-  if (im.trace_source && !im.trace && !im.event_unavailable) {
-    im.trace = im.trace_source->get();
-    if (!im.trace) im.event_unavailable = true;
-  }
-
-  const Clock::time_point started = Clock::now();
-  const std::vector<std::size_t>& active = im.plan.active();
-  const std::size_t base = group * kFaultsPerGroup;
-  const int count = static_cast<int>(im.plan.group_count(group));
-
   GroupRecord rec;
-  rec.group = group;
-  rec.count = static_cast<std::uint32_t>(count);
-  rec.detect_cycle.assign(static_cast<std::size_t>(count), -1);
+  impl_->simulate(&group, 1, &rec);
+  return rec;
+}
 
-  im.inj.clear();
-  for (int i = 0; i < count; ++i) {
-    im.inj.add(im.netlist, im.faults.faults[active[base + i]], i);
-  }
-  const Word all_mask = (Word{1} << count) - 1;  // count <= 63
-
-  const auto finish = [&](GroupRecord& r) -> GroupRecord {
-    im.eval_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             started)
-            .count());
-    return std::move(r);
-  };
-
-  const bool has_clock_bounds =
-      im.group_timeout_ms != 0 ||
-      im.run_deadline != Clock::time_point::max();
-  const Clock::time_point group_deadline =
-      im.group_timeout_ms != 0
-          ? Clock::now() + std::chrono::milliseconds(im.group_timeout_ms)
-          : Clock::time_point::max();
-
-  if (im.trace) {
-    KernelDeadlines deadlines;
-    deadlines.active = has_clock_bounds;
-    deadlines.group_deadline = group_deadline;
-    deadlines.run_deadline = im.run_deadline;
-    if (!im.event) {
-      im.event.emplace(im.netlist, im.sim.levelization(), im.sim.po_bits(),
-                       im.trace);
-    }
-    const KernelStats before = im.event->stats();
-    im.event->simulate(im.inj, count, deadlines, &rec);
-    const KernelStats& after = im.event->stats();
-    rec.gates_evaluated = after.gates_evaluated - before.gates_evaluated;
-    rec.sim_cycles = after.cycles - before.cycles;
-    for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
-      rec.evals_by_kind[i] = after.evals_by_kind[i] - before.evals_by_kind[i];
-    }
-    rec.engine_used = GroupEngine::kEvent;
-    return finish(rec);
-  }
-
-  // Sweep: the compiled program, unless an injection sits on a gate the
-  // compiler folded away (then the interpreted sweep runs the group).
-  const bool use_compiled = im.group_compilable();
-  if (use_compiled) im.fixups.rebuild(*im.compiled, im.netlist, im.inj);
-  im.sim.reset();
-  apply_state_injections(im.sim, im.inj);
-  std::unique_ptr<Environment> env = im.make_env();
-
-  Word detected = 0;
-  std::uint64_t cycle = 0;
-  std::uint64_t evaluated_cycles = 0;
-  for (; cycle < im.max_cycles; ++cycle) {
-    // Amortized watchdog: one clock read every 1024 cycles keeps the
-    // bound within ~ms granularity without slowing the hot loop.
-    if (has_clock_bounds && (cycle & 1023u) == 1023u) [[unlikely]] {
-      const Clock::time_point now = Clock::now();
-      if (now >= group_deadline || now >= im.run_deadline) {
-        rec.timed_out = true;
-        break;
-      }
-    }
-    env->drive(im.sim, cycle);
-    apply_state_injections(im.sim, im.inj);
-    if (use_compiled) {
-      eval_compiled_with_injections(im.sim, *im.compiled, im.inj, im.fixups);
-    } else {
-      eval_with_injections(im.sim, im.inj);
-    }
-    ++evaluated_cycles;
-
-    const Word diff = po_diff(im.sim) & all_mask & ~detected;
-    if (diff != 0) {
-      Word d = diff;
-      while (d != 0) {
-        const int bit = std::countr_zero(d);
-        d &= d - 1;
-        rec.detect_cycle[static_cast<std::size_t>(bit)] =
-            static_cast<std::int64_t>(cycle);
-      }
-      detected |= diff;
-      if (detected == all_mask) break;  // fault dropping: group done
-    }
-
-    const bool keep_going = env->observe(im.sim, cycle);
-    step_clock_with_injections(im.sim, im.inj);
-    if (!keep_going) {
-      ++cycle;
-      break;
-    }
-  }
-  rec.detected_mask = detected;
-  rec.cycles = cycle;
-  // Sweep work counters are normalized to the interpreted sweep (every
-  // comb gate once per cycle, folded BUFs included), so they are a pure
-  // function of (netlist, evaluated_cycles) whichever evaluator ran.
-  rec.gates_evaluated =
-      evaluated_cycles * im.sim.levelization().comb_order.size();
-  rec.sim_cycles = evaluated_cycles;
-  for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
-    rec.evals_by_kind[i] = evaluated_cycles * im.sweep_kinds_per_cycle[i];
-  }
-  rec.engine_used = GroupEngine::kSweep;
-  im.sweep_stats.cycles += evaluated_cycles;
-  im.sweep_stats.gates_evaluated += rec.gates_evaluated;
-  for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
-    im.sweep_stats.evals_by_kind[i] += rec.evals_by_kind[i];
-  }
-  return finish(rec);
+std::array<GroupRecord, 2> GroupSimulator::simulate_pair(std::size_t a,
+                                                         std::size_t b) {
+  const std::size_t groups[2] = {a, b};
+  std::array<GroupRecord, 2> recs;
+  impl_->simulate(groups, 2, recs.data());
+  return recs;
 }
 
 FaultSimResult run_fault_sim(const nl::Netlist& netlist,
@@ -603,85 +732,122 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
     }
   };
 
-  // Resolves one group: seed from storage, expire against the campaign
-  // deadline, or simulate. Seeded groups are not re-journaled; simulated
-  // and deadline-expired ones go through on_group.
-  auto process_group = [&](GroupSimulator& sim, std::size_t group) {
-    GroupRecord rec;
-    bool seeded = false;
-    bool expired = false;
-    if (options.seed_group && options.seed_group(group, &rec)) {
-      if (rec.group != group || rec.count != plan.group_count(group) ||
-          rec.detect_cycle.size() != rec.count) {
-        throw std::runtime_error(
-            "fault-sim seed record does not match group " +
-            std::to_string(group) + " of this campaign");
-      }
-      seeded = true;
-    } else if (has_clock_bounds && Clock::now() >= run_deadline) {
-      expired = true;
-    } else if (trace_source) {
-      // Recording the shared good trace (or waiting for the worker that
-      // records it) is charged to no group: fetch it before the clock.
-      trace_source->get();
-    }
-    const bool timed =
-        static_cast<bool>(options.on_group_metric);  // one clock pair/group
-    const Clock::time_point started = timed ? Clock::now() : Clock::time_point();
-    if (expired) {
-      // Unstarted at the campaign deadline: every fault is inconclusive.
-      rec = plan.unstarted_record(group);
-      rec.timed_out = true;
-    } else if (!seeded) {
-      rec = sim.simulate(group);
-    }
+  // Resolves one work item of up to two groups. Each group is seeded
+  // from storage or expired against the campaign deadline on its own;
+  // the rest are simulated together, as one sweep pair when two remain.
+  // Seeded groups are not re-journaled; simulated and deadline-expired
+  // ones go through on_group. Telemetry charges each simulated group an
+  // equal share of the item's simulation wall time, so per-group
+  // durations still sum to the worker's busy time.
+  const bool timed =
+      static_cast<bool>(options.on_group_metric);  // one clock pair/item
+  auto ms_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+  };
+  auto commit = [&](const GroupRecord& rec, bool seeded) {
     apply_record(rec);
     if (!seeded && options.on_group) {
       std::lock_guard<std::mutex> lock(hook_mutex);
       options.on_group(rec);
     }
+  };
+  auto report = [&](const GroupRecord& rec, bool seeded, double ms) {
     if (timed) {
-      const double ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - started)
-              .count();
       std::lock_guard<std::mutex> lock(hook_mutex);
       options.on_group_metric(rec, seeded, ms);
     }
     report_progress(seeded);
   };
+  auto process_item = [&](GroupSimulator& sim, const std::size_t* groups,
+                          std::size_t n) {
+    std::array<std::size_t, 2> to_simulate{};
+    std::size_t num_simulate = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t group = groups[i];
+      GroupRecord rec;
+      bool seeded = false;
+      if (options.seed_group && options.seed_group(group, &rec)) {
+        if (rec.group != group || rec.count != plan.group_count(group) ||
+            rec.detect_cycle.size() != rec.count) {
+          throw std::runtime_error(
+              "fault-sim seed record does not match group " +
+              std::to_string(group) + " of this campaign");
+        }
+        seeded = true;
+      } else if (has_clock_bounds && Clock::now() >= run_deadline) {
+        // Unstarted at the campaign deadline: every fault is inconclusive.
+        rec = plan.unstarted_record(group);
+        rec.timed_out = true;
+      } else {
+        to_simulate[num_simulate++] = group;
+        continue;
+      }
+      const Clock::time_point started =
+          timed ? Clock::now() : Clock::time_point();
+      commit(rec, seeded);
+      report(rec, seeded, timed ? ms_since(started) : 0.0);
+    }
+    if (num_simulate == 0) return;
+    // Recording the shared good trace (or waiting for the worker that
+    // records it) is charged to no group: fetch it before the clock.
+    if (trace_source) trace_source->get();
+    const Clock::time_point started =
+        timed ? Clock::now() : Clock::time_point();
+    std::array<GroupRecord, 2> recs;
+    if (num_simulate == 2) {
+      recs = sim.simulate_pair(to_simulate[0], to_simulate[1]);
+    } else {
+      recs[0] = sim.simulate(to_simulate[0]);
+    }
+    for (std::size_t k = 0; k < num_simulate; ++k) commit(recs[k], false);
+    const double ms =
+        timed ? ms_since(started) / static_cast<double>(num_simulate) : 0.0;
+    for (std::size_t k = 0; k < num_simulate; ++k) report(recs[k], false, ms);
+  };
+
+  // Work items: consecutive pairs of the schedule under the sweep (one
+  // pass of the netlist advances both groups), single groups under the
+  // event engine.
+  const std::size_t per_item = options.engine == Engine::kSweep ? 2 : 1;
+  const std::size_t num_items = (schedule.size() + per_item - 1) / per_item;
+  auto run_item = [&](GroupSimulator& sim, std::size_t item) {
+    const std::size_t first = item * per_item;
+    process_item(sim, schedule.data() + first,
+                 std::min(per_item, schedule.size() - first));
+  };
 
   unsigned threads =
       options.threads == 0 ? util::hardware_threads() : options.threads;
-  threads = static_cast<unsigned>(std::min<std::size_t>(
-      threads, std::max<std::size_t>(schedule.size(), 1)));
+  threads = static_cast<unsigned>(
+      std::min<std::size_t>(threads, std::max<std::size_t>(num_items, 1)));
 
   if (threads <= 1) {
     GroupSimulator sim(netlist, faults, plan, make_env, options,
                        trace_source, compiled);
     sim.set_run_deadline(run_deadline);
-    for (std::size_t group : schedule) {
+    for (std::size_t item = 0; item < num_items; ++item) {
       if (options.cancel &&
           options.cancel->load(std::memory_order_relaxed)) {
         break;
       }
-      process_group(sim, group);
+      run_item(sim, item);
     }
   } else {
-    // Each worker lazily builds its own simulator + injection table (the
-    // LogicSim constructor levelizes the netlist, so eager construction
-    // of unused workers would be wasted).
+    // Each worker lazily builds its own simulator (its sweep state and
+    // injection tables are allocated on first use).
     util::ThreadPool pool(threads);
     std::vector<std::unique_ptr<GroupSimulator>> workers(pool.size());
     pool.run(
-        schedule.size(),
-        [&](std::size_t slot, unsigned w) {
+        num_items,
+        [&](std::size_t item, unsigned w) {
           if (!workers[w]) {
             workers[w] = std::make_unique<GroupSimulator>(
                 netlist, faults, plan, make_env, options, trace_source,
                 compiled);
             workers[w]->set_run_deadline(run_deadline);
           }
-          process_group(*workers[w], schedule[slot]);
+          run_item(*workers[w], item);
         },
         options.cancel);
   }

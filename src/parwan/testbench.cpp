@@ -15,16 +15,16 @@ ParwanMemEnv::ParwanMemEnv(const nl::Netlist& netlist,
   mem_.resize(4096, 0xE0);
 }
 
-void ParwanMemEnv::drive(sim::LogicSim& s, std::uint64_t /*cycle*/) {
-  s.set_input(*in_rdata_, pending_rdata_);
+void ParwanMemEnv::drive(sim::PortIo& io, std::uint64_t /*cycle*/) {
+  io.set_input(*in_rdata_, pending_rdata_);
 }
 
-bool ParwanMemEnv::observe(const sim::LogicSim& s, std::uint64_t /*cycle*/) {
+bool ParwanMemEnv::observe(const sim::PortIo& io, std::uint64_t /*cycle*/) {
   const std::uint16_t addr =
-      static_cast<std::uint16_t>(s.read_output(*out_addr_) & 0xFFF);
-  if (s.read_output(*out_we_) != 0) {
+      static_cast<std::uint16_t>(io.read_output(*out_addr_) & 0xFFF);
+  if (io.read_output(*out_we_) != 0) {
     const std::uint8_t data =
-        static_cast<std::uint8_t>(s.read_output(*out_wdata_));
+        static_cast<std::uint8_t>(io.read_output(*out_wdata_));
     if (record_writes_) writes_.push_back(PWrite{addr, data});
     mem_[addr] = data;
     if (addr == kHaltAddress) {
@@ -33,7 +33,7 @@ bool ParwanMemEnv::observe(const sim::LogicSim& s, std::uint64_t /*cycle*/) {
     }
   }
   pending_rdata_ =
-      s.read_output(*out_rd_en_) != 0 ? mem_[addr] : std::uint8_t{0};
+      io.read_output(*out_rd_en_) != 0 ? mem_[addr] : std::uint8_t{0};
   return true;
 }
 

@@ -21,8 +21,8 @@ class ParwanMemEnv final : public fault::Environment {
                const std::vector<std::uint8_t>& image,
                bool record_writes = false);
 
-  void drive(sim::LogicSim& s, std::uint64_t cycle) override;
-  bool observe(const sim::LogicSim& s, std::uint64_t cycle) override;
+  void drive(sim::PortIo& io, std::uint64_t cycle) override;
+  bool observe(const sim::PortIo& io, std::uint64_t cycle) override;
 
   bool halted() const { return halted_; }
   const std::vector<PWrite>& writes() const { return writes_; }

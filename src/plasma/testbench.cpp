@@ -25,18 +25,18 @@ CpuMemEnv::CpuMemEnv(const nl::Netlist& netlist, const isa::Program& program,
   }
 }
 
-void CpuMemEnv::drive(sim::LogicSim& s, std::uint64_t /*cycle*/) {
-  s.set_input(*in_rdata_, pending_rdata_);
+void CpuMemEnv::drive(sim::PortIo& io, std::uint64_t /*cycle*/) {
+  io.set_input(*in_rdata_, pending_rdata_);
 }
 
-bool CpuMemEnv::observe(const sim::LogicSim& s, std::uint64_t /*cycle*/) {
+bool CpuMemEnv::observe(const sim::PortIo& io, std::uint64_t /*cycle*/) {
   const std::uint32_t addr =
-      static_cast<std::uint32_t>(s.read_output(*out_addr_));
+      static_cast<std::uint32_t>(io.read_output(*out_addr_));
   const std::uint32_t byte_we =
-      static_cast<std::uint32_t>(s.read_output(*out_byte_we_));
+      static_cast<std::uint32_t>(io.read_output(*out_byte_we_));
   if (byte_we != 0) {
     const std::uint32_t wdata =
-        static_cast<std::uint32_t>(s.read_output(*out_wdata_));
+        static_cast<std::uint32_t>(io.read_output(*out_wdata_));
     if (record_writes_) {
       writes_.push_back(
           iss::WriteOp{addr, wdata, static_cast<std::uint8_t>(byte_we)});
@@ -54,7 +54,7 @@ bool CpuMemEnv::observe(const sim::LogicSim& s, std::uint64_t /*cycle*/) {
     }
   }
   const std::uint32_t rd_en =
-      static_cast<std::uint32_t>(s.read_output(*out_rd_en_));
+      static_cast<std::uint32_t>(io.read_output(*out_rd_en_));
   pending_rdata_ = rd_en ? mem_[(addr & mask_) >> 2] : 0;
   return true;
 }

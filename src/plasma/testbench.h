@@ -27,8 +27,8 @@ class CpuMemEnv final : public fault::Environment {
   CpuMemEnv(const nl::Netlist& netlist, const isa::Program& program,
             std::size_t mem_bytes = 1 << 16, bool record_writes = false);
 
-  void drive(sim::LogicSim& s, std::uint64_t cycle) override;
-  bool observe(const sim::LogicSim& s, std::uint64_t cycle) override;
+  void drive(sim::PortIo& io, std::uint64_t cycle) override;
+  bool observe(const sim::PortIo& io, std::uint64_t cycle) override;
 
   const std::vector<iss::WriteOp>& writes() const { return writes_; }
   const std::vector<std::uint32_t>& memory() const { return mem_; }

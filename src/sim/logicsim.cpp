@@ -9,11 +9,17 @@ LogicSim::LogicSim(const nl::Netlist& netlist,
                    std::shared_ptr<const nl::CompiledNetlist> compiled)
     : nl_(&netlist),
       cn_(std::move(compiled)),
-      val_(netlist.size() + 1, 0) {
-  for (const nl::Port& p : netlist.outputs()) {
-    po_bits_.insert(po_bits_.end(), p.bits.begin(), p.bits.end());
-  }
+      val_(netlist.size() + 1, 0),
+      po_bits_(flat_po_bits(netlist)) {
   reset();
+}
+
+std::vector<nl::GateId> flat_po_bits(const nl::Netlist& netlist) {
+  std::vector<nl::GateId> bits;
+  for (const nl::Port& p : netlist.outputs()) {
+    bits.insert(bits.end(), p.bits.begin(), p.bits.end());
+  }
+  return bits;
 }
 
 void LogicSim::reset() {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "netlist/compiled.h"
@@ -30,8 +31,12 @@ inline constexpr Word kAllOnes = ~Word{0};
 /// Broadcasts a single logic bit into a simulation word.
 inline Word broadcast(bool b) { return b ? kAllOnes : Word{0}; }
 
-/// Evaluates one gate function over words.
-inline Word eval_gate(nl::GateKind k, Word a, Word b, Word c) {
+/// Evaluates one gate function over words. W is Word or a wider word
+/// type with bitwise operators (the fault sweep's two-lane pair); the
+/// type is deduced from `a` alone.
+template <class W>
+inline W eval_gate(nl::GateKind k, W a, std::type_identity_t<W> b,
+                   std::type_identity_t<W> c) {
   using nl::GateKind;
   switch (k) {
     case GateKind::kBuf:   return a;
@@ -43,14 +48,32 @@ inline Word eval_gate(nl::GateKind k, Word a, Word b, Word c) {
     case GateKind::kXor2:  return a ^ b;
     case GateKind::kXnor2: return ~(a ^ b);
     case GateKind::kMux2:  return (a & ~c) | (b & c);
-    default:               return 0;
+    default:               return W{};
   }
 }
+
+/// The port-level view a closed-loop environment (fault::Environment,
+/// a testbench) has of a simulation: it drives input ports with scalar
+/// values broadcast to every machine, and reads output ports of the
+/// good machine (machine 63). LogicSim implements it, and so does the
+/// fault sweep's two-lane state, so one environment serves both.
+class PortIo {
+ public:
+  virtual const nl::Netlist& netlist() const = 0;
+  /// Drives an input port with a scalar value broadcast to all machines,
+  /// bit i of `value` driving port bit i.
+  virtual void set_input(const nl::Port& port, std::uint64_t value) = 0;
+  /// Scalar value of an output port in the good machine (machine 63).
+  virtual std::uint64_t read_output(const nl::Port& port) const = 0;
+
+ protected:
+  ~PortIo() = default;
+};
 
 /// Compiled simulator state for one netlist. Holds a shared compiled
 /// program; construction is O(gates) (or O(1) when a pre-compiled
 /// program is supplied), evaluation is a flat branch-free sweep.
-class LogicSim {
+class LogicSim final : public PortIo {
  public:
   explicit LogicSim(const nl::Netlist& netlist);
   /// Reuses a campaign-shared compiled program (must be compiled from
@@ -58,16 +81,14 @@ class LogicSim {
   LogicSim(const nl::Netlist& netlist,
            std::shared_ptr<const nl::CompiledNetlist> compiled);
 
-  const nl::Netlist& netlist() const { return *nl_; }
+  const nl::Netlist& netlist() const override { return *nl_; }
   const nl::Levelization& levelization() const { return cn_->lv; }
   const nl::CompiledNetlist& compiled() const { return *cn_; }
 
   /// Loads DFF reset values and clears inputs.
   void reset();
 
-  /// Drives an input port with a scalar value (broadcast to all machines),
-  /// bit i of `value` driving port bit i.
-  void set_input(const nl::Port& port, std::uint64_t value);
+  void set_input(const nl::Port& port, std::uint64_t value) override;
   /// Drives one net (must be an INPUT gate) with a raw simulation word.
   void set_input_word(nl::GateId g, Word w);
 
@@ -82,10 +103,13 @@ class LogicSim {
 
   /// Raw word on a net (valid after eval()).
   Word word(nl::GateId g) const { return val_[g]; }
-  /// Scalar value of an output port in machine `machine` (default: the
-  /// good machine convention used by the fault simulator is bit 63; for
-  /// pure logic simulation all bits agree).
-  std::uint64_t read_output(const nl::Port& port, int machine = 63) const;
+  /// Scalar value of an output port in machine `machine`; the one-port
+  /// form reads machine 63, the fault simulator's good machine (for pure
+  /// logic simulation all bits agree).
+  std::uint64_t read_output(const nl::Port& port, int machine) const;
+  std::uint64_t read_output(const nl::Port& port) const override {
+    return read_output(port, 63);
+  }
 
   /// Direct access for the fault simulator. The vector holds one word
   /// per gate plus a trailing always-zero slot (CompiledNetlist's
@@ -104,5 +128,9 @@ class LogicSim {
   std::vector<Word> val_;
   std::vector<nl::GateId> po_bits_;
 };
+
+/// All primary-output bits of `netlist`, flattened across ports in
+/// declaration order (LogicSim::po_bits() without a simulator).
+std::vector<nl::GateId> flat_po_bits(const nl::Netlist& netlist);
 
 }  // namespace sbst::sim

@@ -30,11 +30,16 @@ struct ThreadPool::Impl {
   std::atomic<bool> failed{false};
   std::exception_ptr error;
   std::uint64_t epoch = 0;
+  /// Workers inside work() (guarded by m). `run` rewrites the job fields
+  /// only when it is 0 and returns only once it is 0 again, so a late
+  /// worker still draining one run never reads the next run's fields.
+  unsigned active = 0;
   bool stop = false;
 
   /// Claims and executes tasks until the range is exhausted. Workers that
   /// wake late (or not at all) are harmless: completion is counted per
-  /// task, not per worker.
+  /// task, not per worker, and a late worker only finds the range
+  /// exhausted.
   void work(unsigned worker) {
     for (;;) {
       const std::size_t task = next.fetch_add(1, std::memory_order_relaxed);
@@ -67,8 +72,11 @@ struct ThreadPool::Impl {
         cv_start.wait(lock, [&] { return stop || epoch != seen; });
         if (stop) return;
         seen = epoch;
+        ++active;
       }
       work(worker);
+      std::lock_guard<std::mutex> lock(m);
+      if (--active == 0) cv_done.notify_all();
     }
   }
 };
@@ -109,7 +117,10 @@ void ThreadPool::run(std::size_t num_tasks,
     return;
   }
   {
-    std::lock_guard<std::mutex> lock(im.m);
+    std::unique_lock<std::mutex> lock(im.m);
+    // A worker that woke after the previous run returned may still be
+    // draining it (finding no task left); let it leave first.
+    im.cv_done.wait(lock, [&] { return im.active == 0; });
     im.job = &fn;
     im.cancel = cancel;
     im.total = num_tasks;
@@ -122,9 +133,10 @@ void ThreadPool::run(std::size_t num_tasks,
   }
   im.work(0);  // the calling thread is worker 0
   std::unique_lock<std::mutex> lock(im.m);
-  im.cv_done.wait(lock,
-                  [&] { return im.done.load(std::memory_order_acquire) ==
-                               im.total; });
+  im.cv_done.wait(lock, [&] {
+    return im.done.load(std::memory_order_acquire) == im.total &&
+           im.active == 0;
+  });
   im.job = nullptr;
   im.cancel = nullptr;
   if (im.error) std::rethrow_exception(im.error);

@@ -169,10 +169,10 @@ class SlowEnv final : public fault::Environment {
  public:
   explicit SlowEnv(std::chrono::microseconds per_cycle)
       : per_cycle_(per_cycle) {}
-  void drive(sim::LogicSim&, std::uint64_t) override {
+  void drive(sim::PortIo&, std::uint64_t) override {
     if (per_cycle_.count() != 0) std::this_thread::sleep_for(per_cycle_);
   }
-  bool observe(const sim::LogicSim&, std::uint64_t) override { return true; }
+  bool observe(const sim::PortIo&, std::uint64_t) override { return true; }
 
  private:
   std::chrono::microseconds per_cycle_;

@@ -32,8 +32,8 @@ std::string temp_path(const char* name) {
 /// reproducible, which is what bit-identity checks need.
 class ConstEnv final : public fault::Environment {
  public:
-  void drive(sim::LogicSim&, std::uint64_t) override {}
-  bool observe(const sim::LogicSim&, std::uint64_t) override { return true; }
+  void drive(sim::PortIo&, std::uint64_t) override {}
+  bool observe(const sim::PortIo&, std::uint64_t) override { return true; }
 };
 
 nl::Netlist make_small_netlist() {

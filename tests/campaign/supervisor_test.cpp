@@ -273,8 +273,8 @@ TEST(Supervisor, NoWorkerOutlivesQuarantineOrDrain) {
 class HungryEnv final : public fault::Environment {
  public:
   HungryEnv() : hoard_(64 * 1024 * 1024, 0xAB) {}
-  void drive(sim::LogicSim&, std::uint64_t) override {}
-  bool observe(const sim::LogicSim&, std::uint64_t) override { return true; }
+  void drive(sim::PortIo&, std::uint64_t) override {}
+  bool observe(const sim::PortIo&, std::uint64_t) override { return true; }
 
  private:
   std::vector<std::uint8_t> hoard_;

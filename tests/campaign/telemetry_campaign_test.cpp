@@ -200,6 +200,36 @@ TEST(CampaignTelemetry, ResumedCampaignReplaysSeededCountersVerbatim) {
 // succeed group carries the consumed attempts and the dead attempt's
 // rusage, and a quarantined group's metric reports rusage across every
 // attempt — work the campaign spent even though no verdict came back.
+// In-process sweep campaigns simulate groups in pairs, --isolate workers
+// one at a time: the counter lines of `sbst stats` must not tell the two
+// apart.
+TEST(CampaignTelemetry, PairedSweepCounterLinesMatchUnpairedIsolate) {
+  const auto& fx = fixture();
+  const auto counter_lines = [&](bool isolate) {
+    const std::string path = temp_path(isolate ? "tele_sweep_isolate.ndjson"
+                                               : "tele_sweep_paired.ndjson");
+    CampaignOptions opt = ParwanFixture::base_options(2);
+    opt.sim.engine = fault::Engine::kSweep;
+    opt.isolate = isolate;
+    opt.telemetry.metrics_path = path;
+    run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, opt);
+    std::ifstream in(path);
+    std::ostringstream printed;
+    telemetry::print_metrics_summary(printed, telemetry::summarize_metrics(in));
+    std::istringstream lines(printed.str());
+    std::string line, counters;
+    while (std::getline(lines, line)) {
+      for (const char* prefix : {"engines:", "verdicts:", "counters:"}) {
+        if (line.rfind(prefix, 0) == 0) counters += line + "\n";
+      }
+    }
+    return counters;
+  };
+  const std::string paired = counter_lines(false);
+  EXPECT_NE(paired.find("counters:"), std::string::npos) << paired;
+  EXPECT_EQ(paired, counter_lines(true));
+}
+
 TEST(CampaignTelemetry, IsolateMetricsCarryAttemptsAndDeadWorkerRusage) {
   const auto& fx = fixture();
 

@@ -103,11 +103,11 @@ nl::Netlist make_seq_netlist() {
 class PatternEnv : public Environment {
  public:
   explicit PatternEnv(std::uint64_t cycles) : cycles_(cycles) {}
-  void drive(sim::LogicSim& sim, std::uint64_t cycle) override {
-    sim.set_input(sim.netlist().input("in"),
+  void drive(sim::PortIo& io, std::uint64_t cycle) override {
+    io.set_input(io.netlist().input("in"),
                   (cycle * 0x9E37u + 0x79B9u) ^ (cycle >> 3));
   }
-  bool observe(const sim::LogicSim&, std::uint64_t cycle) override {
+  bool observe(const sim::PortIo&, std::uint64_t cycle) override {
     return cycle + 1 < cycles_;
   }
 
@@ -568,12 +568,12 @@ void expect_group0_covers_lut_cases(const nl::Netlist& n,
 class HashEnv : public Environment {
  public:
   explicit HashEnv(std::uint64_t cycles) : cycles_(cycles) {}
-  void drive(sim::LogicSim& sim, std::uint64_t cycle) override {
+  void drive(sim::PortIo& io, std::uint64_t cycle) override {
     std::uint64_t z = (cycle + 1) * 0x9E3779B97F4A7C15ull;
     z = (z ^ (z >> 31)) * 0xBF58476D1CE4E5B9ull;
-    sim.set_input(sim.netlist().input("in"), z ^ (z >> 29));
+    io.set_input(io.netlist().input("in"), z ^ (z >> 29));
   }
-  bool observe(const sim::LogicSim&, std::uint64_t cycle) override {
+  bool observe(const sim::PortIo&, std::uint64_t cycle) override {
     return cycle + 1 < cycles_;
   }
 
@@ -672,11 +672,11 @@ class SlowFirstDriveEnv : public PatternEnv {
  public:
   SlowFirstDriveEnv(std::uint64_t cycles, std::atomic<bool>* slept)
       : PatternEnv(cycles), slept_(slept) {}
-  void drive(sim::LogicSim& sim, std::uint64_t cycle) override {
+  void drive(sim::PortIo& io, std::uint64_t cycle) override {
     if (!slept_->exchange(true)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(300));
     }
-    PatternEnv::drive(sim, cycle);
+    PatternEnv::drive(io, cycle);
   }
 
  private:

@@ -1,5 +1,5 @@
 // Determinism contract of the multi-threaded fault-simulation engine:
-// fault groups are independent (fresh LogicSim + Environment per group,
+// fault groups are independent (fresh simulation state + Environment per run,
 // disjoint result indices), so the FaultSimResult must be bit-identical
 // for every thread count. Verified on a small combinational netlist, on
 // a sequential netlist with sampling, and end-to-end on the Parwan SBST

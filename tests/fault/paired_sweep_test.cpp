@@ -1,0 +1,434 @@
+// The paired-sweep contract: under Engine::kSweep, run_fault_sim sweeps
+// two groups per 128-bit word under one environment, and every record it
+// produces equals a lone GroupSimulator::simulate(g) of that group, field
+// by field, at every thread count. Covered: lanes that finish early while
+// their partner runs on, a trailing lone group (odd group counts), pairs
+// split by a group seeded from a journal, the interpreted fallback
+// forced by a fault on a folded BUF, an environment halt that stops both
+// lanes, a group_timeout_ms cut, and the per-group time charged to each
+// half of a pair.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <chrono>
+#include <cstdio>
+#include <map>
+#include <random>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "campaign/campaign.h"
+#include "campaign/journal.h"
+#include "fault/faultsim.h"
+#include "fault/good_trace.h"
+#include "netlist/compiled.h"
+#include "netlist/fault.h"
+#include "parwan/sbst.h"
+#include "parwan/testbench.h"
+
+namespace sbst::fault {
+namespace {
+
+// A seeded random sequential netlist: 8 inputs, 12 flip-flops fed back
+// from a deep random cone (all gate kinds, BUFs included), 15 outputs.
+nl::Netlist make_random_seq_netlist(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  nl::Netlist n;
+  const auto& in = n.add_input("in", 8);
+  std::vector<nl::GateId> nets(in.bits.begin(), in.bits.end());
+  nets.push_back(n.const0());
+  nets.push_back(n.const1());
+  std::vector<nl::GateId> dffs;
+  for (std::size_t i = 0; i < 12; ++i) {
+    dffs.push_back(n.add_dff(in.bits[i % in.bits.size()], (rng() & 1) != 0));
+    nets.push_back(dffs.back());
+  }
+  constexpr nl::GateKind kKinds[] = {
+      nl::GateKind::kAnd2, nl::GateKind::kOr2,  nl::GateKind::kNand2,
+      nl::GateKind::kNor2, nl::GateKind::kXor2, nl::GateKind::kXnor2,
+      nl::GateKind::kNot,  nl::GateKind::kBuf,  nl::GateKind::kMux2};
+  const auto pick = [&] {
+    const std::size_t k = nets.size();
+    return (rng() & 1) ? nets[k - 1 - rng() % std::min<std::size_t>(k, 12)]
+                       : nets[rng() % k];
+  };
+  std::vector<nl::GateId> comb;
+  for (std::size_t i = 0; i < 160; ++i) {
+    const nl::GateKind kind = kKinds[rng() % std::size(kKinds)];
+    const int arity = nl::fanin_count(kind);
+    const nl::GateId a = pick();
+    const nl::GateId b = arity >= 2 ? pick() : nl::kNoGate;
+    const nl::GateId c = arity >= 3 ? pick() : nl::kNoGate;
+    comb.push_back(n.add_gate(kind, a, b, c));
+    nets.push_back(comb.back());
+  }
+  for (nl::GateId q : dffs) {
+    n.set_gate_input(q, 0, comb[rng() % comb.size()]);
+  }
+  std::vector<nl::GateId> outs;
+  for (std::size_t i = 0; i < 14; ++i) {
+    outs.push_back(comb[rng() % comb.size()]);
+  }
+  outs.push_back(dffs[0]);
+  n.add_output("o", outs);
+  return n;
+}
+
+// Hash-driven stimulus that halts after `cycles` cycles; drive() sleeps
+// `nap` once, at cycle `nap_at`, to trip wall-clock bounds on cue.
+class HashEnv final : public Environment {
+ public:
+  HashEnv(std::uint64_t cycles, std::uint64_t nap_at,
+          std::chrono::milliseconds nap)
+      : cycles_(cycles), nap_at_(nap_at), nap_(nap) {}
+  void drive(sim::PortIo& io, std::uint64_t cycle) override {
+    if (cycle == nap_at_ && nap_.count() != 0) {
+      std::this_thread::sleep_for(nap_);
+    }
+    std::uint64_t z = (cycle + 1) * 0x9E3779B97F4A7C15ull;
+    z = (z ^ (z >> 31)) * 0xBF58476D1CE4E5B9ull;
+    io.set_input(io.netlist().input("in"), z ^ (z >> 29));
+  }
+  bool observe(const sim::PortIo&, std::uint64_t cycle) override {
+    return cycle + 1 < cycles_;
+  }
+
+ private:
+  std::uint64_t cycles_;
+  std::uint64_t nap_at_;
+  std::chrono::milliseconds nap_;
+};
+
+EnvFactory hash_env(std::uint64_t cycles, std::uint64_t nap_at = 0,
+                    std::chrono::milliseconds nap = {}) {
+  return [=]() { return std::make_unique<HashEnv>(cycles, nap_at, nap); };
+}
+
+void expect_same_record(const GroupRecord& a, const GroupRecord& b,
+                        const std::string& what) {
+  SCOPED_TRACE(what + ", group " + std::to_string(b.group));
+  EXPECT_EQ(a.group, b.group);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.timed_out, b.timed_out);
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  EXPECT_EQ(a.detected_mask, b.detected_mask);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.detect_cycle, b.detect_cycle);
+  EXPECT_EQ(a.gates_evaluated, b.gates_evaluated);
+  EXPECT_EQ(a.sim_cycles, b.sim_cycles);
+  EXPECT_EQ(a.engine_used, b.engine_used);
+  EXPECT_EQ(a.evals_by_kind, b.evals_by_kind);
+}
+
+void expect_same_records(const std::vector<GroupRecord>& lone,
+                         const std::vector<GroupRecord>& paired,
+                         const std::string& what) {
+  ASSERT_EQ(lone.size(), paired.size()) << what;
+  for (std::size_t g = 0; g < lone.size(); ++g) {
+    expect_same_record(lone[g], paired[g], what);
+  }
+}
+
+/// The reference: every group of the plan simulated one at a time.
+std::vector<GroupRecord> lone_records(const nl::Netlist& n,
+                                      const nl::FaultList& fl,
+                                      const EnvFactory& env,
+                                      FaultSimOptions opt) {
+  opt.engine = Engine::kSweep;
+  const GroupPlan plan(fl, opt);
+  GroupSimulator sim(n, fl, plan, env, opt);
+  std::vector<GroupRecord> out;
+  for (std::size_t g = 0; g < plan.num_groups(); ++g) {
+    out.push_back(sim.simulate(g));
+  }
+  return out;
+}
+
+/// Records of a run_fault_sim sweep campaign (paired), indexed by group.
+std::vector<GroupRecord> paired_records(const nl::Netlist& n,
+                                        const nl::FaultList& fl,
+                                        const EnvFactory& env,
+                                        FaultSimOptions opt) {
+  opt.engine = Engine::kSweep;
+  std::vector<GroupRecord> out(GroupPlan(fl, opt).num_groups());
+  std::vector<int> seen(out.size(), 0);
+  opt.on_group = [&](const GroupRecord& rec) {
+    out[rec.group] = rec;
+    ++seen[rec.group];
+  };
+  run_fault_sim(n, fl, env, opt);
+  for (std::size_t g = 0; g < seen.size(); ++g) {
+    EXPECT_EQ(seen[g], 1) << "group " << g << " reported " << seen[g]
+                          << " times";
+  }
+  return out;
+}
+
+bool fully_detected(const GroupRecord& r) {
+  return r.detected_mask == (std::uint64_t{1} << r.count) - 1;
+}
+
+TEST(FaultSimParallel, PairedSweepMatchesLoneGroupsOnRandomNetlists) {
+  bool early_lane = false;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const nl::Netlist n = make_random_seq_netlist(seed);
+    const nl::FaultList fl = nl::enumerate_faults(n);
+    FaultSimOptions opt;
+    opt.max_cycles = 400;
+    opt.threads = 1;
+    // An odd group count leaves the last group without a partner.
+    std::size_t groups = GroupPlan(fl, opt).num_groups();
+    if (groups % 2 == 0) {
+      opt.sample = (groups - 1) * 63 - 7;
+      groups = GroupPlan(fl, opt).num_groups();
+    }
+    ASSERT_GE(groups, 3u) << "seed " << seed;
+    ASSERT_EQ(groups % 2, 1u) << "seed " << seed;
+    const EnvFactory env = hash_env(300);
+    const std::vector<GroupRecord> lone = lone_records(n, fl, env, opt);
+    for (std::size_t g = 0; g + 1 < lone.size(); g += 2) {
+      for (int l = 0; l < 2; ++l) {
+        const GroupRecord& a = lone[g + l];
+        const GroupRecord& b = lone[g + 1 - l];
+        if (fully_detected(a) && a.cycles < b.cycles) early_lane = true;
+      }
+    }
+    for (unsigned threads : {1u, 2u, 3u, 4u}) {
+      opt.threads = threads;
+      expect_same_records(lone, paired_records(n, fl, env, opt),
+                          "seed " + std::to_string(seed) + ", " +
+                              std::to_string(threads) + " threads");
+    }
+  }
+  EXPECT_TRUE(early_lane)
+      << "no pair had a lane fully detected before its partner ended";
+}
+
+TEST(FaultSimParallel, PairedSweepMatchesLoneGroupsOnParwanFullList) {
+  const parwan::ParwanCpu cpu = parwan::build_parwan_cpu();
+  const parwan::ParwanSelfTest st = parwan::build_parwan_selftest();
+  ASSERT_TRUE(st.halted);
+  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
+  const EnvFactory env = parwan::make_parwan_env_factory(cpu, st.image);
+  FaultSimOptions opt;
+  opt.max_cycles = 10000;
+  const std::vector<GroupRecord> lone =
+      lone_records(cpu.netlist, faults, env, opt);
+  for (unsigned threads : {1u, 2u, 3u, 4u}) {
+    opt.threads = threads;
+    expect_same_records(lone, paired_records(cpu.netlist, faults, env, opt),
+                        "parwan, " + std::to_string(threads) + " threads");
+  }
+}
+
+// A fault on a folded BUF has no compiled node, so its group — and with
+// it the partner sharing the word — runs the interpreted sweep, while
+// the lone reference runs the partner compiled.
+TEST(FaultSimParallel, PairedSweepBufFaultForcesInterpretedPair) {
+  const nl::Netlist n = make_random_seq_netlist(7);
+  const auto compiled = nl::compile(n);
+  nl::GateId buf = nl::kNoGate;
+  for (nl::GateId g = 0; g < n.size() && buf == nl::kNoGate; ++g) {
+    if (n.gate(g).kind == nl::GateKind::kBuf &&
+        compiled->node_of_gate[g] == nl::kNoNode) {
+      buf = g;
+    }
+  }
+  ASSERT_NE(buf, nl::kNoGate) << "no folded BUF in the netlist";
+  nl::FaultList fl = nl::enumerate_faults(n);
+  ASSERT_GT(fl.size(), 63u * 2);
+  // Two faults on the BUF land in group 1, the partner of group 0.
+  const std::vector<nl::Fault> extra = {{buf, 0, 1}, {buf, 1, 0}};
+  fl.faults.insert(fl.faults.begin() + 70, extra.begin(), extra.end());
+  fl.class_size.insert(fl.class_size.begin() + 70, extra.size(), 1);
+  fl.total_uncollapsed += extra.size();
+
+  FaultSimOptions opt;
+  opt.max_cycles = 400;
+  const EnvFactory env = hash_env(300);
+  const std::vector<GroupRecord> lone = lone_records(n, fl, env, opt);
+  for (unsigned threads : {1u, 3u}) {
+    opt.threads = threads;
+    expect_same_records(lone, paired_records(n, fl, env, opt),
+                        "buf fault, " + std::to_string(threads) + " threads");
+  }
+}
+
+// The environment halts at cycle 12, long before the groups finish: both
+// lanes of every pair stop there together, each with a lone run's record.
+TEST(FaultSimParallel, PairedSweepHaltStopsBothLanes) {
+  const nl::Netlist n = make_random_seq_netlist(3);
+  const nl::FaultList fl = nl::enumerate_faults(n);
+  constexpr std::uint64_t kHalt = 12;
+  FaultSimOptions opt;
+  opt.max_cycles = 400;
+  const EnvFactory env = hash_env(kHalt);
+  const std::vector<GroupRecord> lone = lone_records(n, fl, env, opt);
+  std::size_t halted_pairs = 0;
+  for (std::size_t g = 0; g + 1 < lone.size(); g += 2) {
+    halted_pairs += lone[g].cycles == kHalt && lone[g + 1].cycles == kHalt;
+  }
+  ASSERT_GT(halted_pairs, 0u) << "no pair ran both lanes to the halt";
+  for (unsigned threads : {1u, 2u, 3u, 4u}) {
+    opt.threads = threads;
+    expect_same_records(lone, paired_records(n, fl, env, opt),
+                        "halt, " + std::to_string(threads) + " threads");
+  }
+}
+
+// group_timeout_ms cuts a pair at the first watchdog check past its
+// bound (cycle 1023 here: drive() naps 40 ms at cycle 1000). Both lanes
+// share the cut, and each record is the lone record of a run ending at
+// that cycle, marked timed out unless its group was already done.
+TEST(FaultSimParallel, PairedSweepGroupTimeoutCutsBothLanes) {
+  const nl::Netlist n = make_random_seq_netlist(5);
+  const nl::FaultList fl = nl::enumerate_faults(n);
+  constexpr std::uint64_t kCut = 1023;
+  FaultSimOptions ref;
+  ref.max_cycles = kCut;
+  std::vector<GroupRecord> lone =
+      lone_records(n, fl, hash_env(1'000'000), ref);
+  std::size_t cut = 0;
+  for (GroupRecord& r : lone) {
+    r.timed_out = r.cycles == kCut && !fully_detected(r);
+    cut += r.timed_out;
+  }
+  ASSERT_GE(cut, 2u) << "no group runs into the cut";
+
+  FaultSimOptions opt;
+  opt.max_cycles = 100'000;
+  opt.group_timeout_ms = 10;
+  const EnvFactory env =
+      hash_env(1'000'000, 1000, std::chrono::milliseconds(40));
+  for (unsigned threads : {1u, 2u}) {
+    opt.threads = threads;
+    expect_same_records(lone, paired_records(n, fl, env, opt),
+                        "timeout, " + std::to_string(threads) + " threads");
+  }
+}
+
+// The two-group entry: the sweep runs both groups in one word, the
+// event kernel one after the other. Both give each group's lone record.
+TEST(FaultSimParallel, PairEntryMatchesLoneRunsUnderBothKernels) {
+  const nl::Netlist n = make_random_seq_netlist(4);
+  const nl::FaultList fl = nl::enumerate_faults(n);
+  FaultSimOptions opt;
+  opt.max_cycles = 400;
+  const EnvFactory env = hash_env(300);
+  const std::vector<GroupRecord> lone = lone_records(n, fl, env, opt);
+  ASSERT_GE(lone.size(), 3u);
+  const GroupPlan plan(fl, opt);
+  const std::array<std::size_t, 2> groups = {2, 0};
+
+  GroupSimulator sweep(n, fl, plan, env, opt);
+  const std::array<GroupRecord, 2> swept =
+      sweep.simulate_pair(groups[0], groups[1]);
+  // The event kernel's work counters count what it evaluated, so its
+  // pair entry is held to its own lone runs, and its verdicts to the
+  // sweep's.
+  auto trace = std::make_shared<SharedTraceSource>(n, env, opt.max_cycles,
+                                                   std::size_t{0});
+  GroupSimulator event(n, fl, plan, env, opt, trace);
+  const std::array<GroupRecord, 2> evented =
+      event.simulate_pair(groups[0], groups[1]);
+  for (int l = 0; l < 2; ++l) {
+    expect_same_record(lone[groups[l]], swept[l], "sweep pair entry");
+    expect_same_record(event.simulate(groups[l]), evented[l],
+                       "event pair entry");
+    EXPECT_EQ(evented[l].engine_used, GroupEngine::kEvent);
+    EXPECT_EQ(evented[l].detect_cycle, lone[groups[l]].detect_cycle);
+  }
+}
+
+// Resume splits a pair: the journaled group is seeded, its partner is
+// simulated alone, and the journal ends up holding lone-run records for
+// every group.
+TEST(FaultSimParallel, PairedSweepResumesPairsWithOneJournaledGroup) {
+  const parwan::ParwanCpu cpu = parwan::build_parwan_cpu();
+  const parwan::ParwanSelfTest st = parwan::build_parwan_selftest();
+  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
+  const EnvFactory env = parwan::make_parwan_env_factory(cpu, st.image);
+  FaultSimOptions sim;
+  sim.max_cycles = 10000;
+  sim.sample = 630;  // 10 groups
+  const std::vector<GroupRecord> lone =
+      lone_records(cpu.netlist, faults, env, sim);
+  constexpr std::uint64_t kFp = 0x9a12ed5eedull;
+  const std::string path =
+      std::string(::testing::TempDir()) + "paired_resume.sbstj";
+
+  for (unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    std::remove(path.c_str());
+    {
+      campaign::JournalWriter jw = campaign::JournalWriter::create(
+          path, {kFp, lone.size(), faults.size()});
+      for (std::size_t g : {0u, 3u, 9u}) jw.add(lone[g]);
+    }
+    campaign::CampaignOptions opt;
+    opt.journal = path;
+    opt.sim = sim;
+    opt.sim.engine = Engine::kSweep;
+    opt.sim.threads = threads;
+    const campaign::CampaignResult res =
+        campaign::run_campaign(cpu.netlist, faults, env, kFp, opt);
+    EXPECT_TRUE(res.resumed);
+    EXPECT_EQ(res.seeded_groups, 3u);
+    EXPECT_EQ(res.groups_done, lone.size());
+
+    const auto loaded = campaign::load_journal(
+        path, {kFp, lone.size(), faults.size()});
+    ASSERT_TRUE(loaded.has_value());
+    ASSERT_EQ(loaded->records.size(), lone.size());
+    std::vector<GroupRecord> journaled(lone.size());
+    for (const GroupRecord& r : loaded->records) journaled[r.group] = r;
+    expect_same_records(lone, journaled, "resumed journal");
+  }
+}
+
+// Each simulated group of a pair is charged half the pair's wall time,
+// so the per-group durations of a campaign sum to at most its busy time.
+TEST(FaultSimParallel, PairedSweepChargesEachGroupHalfThePair) {
+  const nl::Netlist n = make_random_seq_netlist(2);
+  const nl::FaultList fl = nl::enumerate_faults(n);
+  FaultSimOptions opt;
+  opt.engine = Engine::kSweep;
+  opt.max_cycles = 2000;
+  const EnvFactory env = hash_env(1'000'000);
+  const std::vector<GroupRecord> lone = lone_records(n, fl, env, opt);
+  for (unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    opt.threads = threads;
+    std::map<std::uint64_t, double> ms;
+    std::vector<GroupRecord> paired(lone.size());
+    opt.on_group = [&](const GroupRecord& rec) { paired[rec.group] = rec; };
+    opt.on_group_metric = [&](const GroupRecord& rec, bool seeded,
+                              double duration_ms) {
+      EXPECT_FALSE(seeded);
+      ms[rec.group] = duration_ms;
+    };
+    const auto t0 = std::chrono::steady_clock::now();
+    run_fault_sim(n, fl, env, opt);
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    const std::size_t groups = GroupPlan(fl, opt).num_groups();
+    ASSERT_EQ(ms.size(), groups);
+    ASSERT_GE(groups, 2u);
+    double sum = 0;
+    for (const auto& [group, d] : ms) {
+      EXPECT_GT(d, 0.0) << "group " << group;
+      sum += d;
+    }
+    for (std::uint64_t g = 0; g + 1 < groups; g += 2) {
+      EXPECT_EQ(ms[g], ms[g + 1]) << "pair " << g;
+    }
+    EXPECT_LE(sum, threads * wall_ms);
+    expect_same_records(lone, paired, "timed");
+  }
+}
+
+}  // namespace
+}  // namespace sbst::fault

@@ -83,6 +83,26 @@ TEST(ThreadPool, ReusableAcrossManyRuns) {
   EXPECT_EQ(total.load(), 500u);
 }
 
+// Tiny runs back to back leave most workers waking after their run is
+// already done; none of them may execute a task against the next run's
+// job, and under -fsanitize=thread none may read its fields unordered.
+TEST(ThreadPool, BackToBackRunsNeverMixJobs) {
+  ThreadPool pool(4);
+  std::atomic<int> current{-1};
+  std::atomic<int> foreign{0};
+  for (int run = 0; run < 2000; ++run) {
+    const std::size_t tasks = 1 + static_cast<std::size_t>(run) % 3;
+    std::atomic<std::size_t> calls{0};
+    current.store(run);
+    pool.run(tasks, [&, run](std::size_t, unsigned) {
+      if (current.load() != run) ++foreign;
+      ++calls;
+    });
+    ASSERT_EQ(calls.load(), tasks) << "run " << run;
+  }
+  EXPECT_EQ(foreign.load(), 0);
+}
+
 TEST(ThreadPool, CancelSetBeforeRunExecutesNothing) {
   for (unsigned threads : {1u, 4u}) {
     ThreadPool pool(threads);

@@ -36,7 +36,8 @@
 //                                      campaign. --engine picks the
 //                                      simulation kernel (default: event,
 //                                      the differential engine; sweep is
-//                                      the full per-cycle re-evaluation) —
+//                                      the full per-cycle re-evaluation,
+//                                      two groups per pass) —
 //                                      both produce bit-identical grades,
 //                                      and journals mix freely across
 //                                      engines. --trace-mem-mb caps the
