@@ -31,14 +31,6 @@ std::uint64_t fingerprint_u64(std::uint64_t h, std::uint64_t v) {
   return fingerprint_bytes(h, buf, sizeof(buf));
 }
 
-std::size_t campaign_groups(const nl::FaultList& faults,
-                            const fault::FaultSimOptions& sim) {
-  const std::size_t active =
-      (sim.sample != 0 && sim.sample < faults.size()) ? sim.sample
-                                                      : faults.size();
-  return (active + 62) / 63;
-}
-
 std::size_t shard_groups(std::size_t total_groups,
                          const fault::FaultSimOptions& sim) {
   if (sim.shard_count <= 1) return total_groups;
@@ -84,22 +76,6 @@ telemetry::GroupMetric to_group_metric(const fault::GroupRecord& rec,
   return m;
 }
 
-void finish_campaign_result(const nl::FaultList& faults,
-                            const CampaignOptions& options,
-                            CampaignResult* out) {
-  out->signal = options.handle_signals ? util::drain_signal() : 0;
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (out->result.timed_out[i]) ++out->faults_timed_out;
-    if (i < out->result.quarantined.size() && out->result.quarantined[i]) {
-      ++out->faults_quarantined;
-    }
-  }
-  std::sort(out->quarantined_groups.begin(), out->quarantined_groups.end(),
-            [](const QuarantinedGroup& a, const QuarantinedGroup& b) {
-              return a.group < b.group;
-            });
-}
-
 CampaignResult run_campaign(const nl::Netlist& netlist,
                             const nl::FaultList& faults,
                             const fault::EnvFactory& make_env,
@@ -113,13 +89,10 @@ CampaignResult run_campaign(const nl::Netlist& netlist,
                              std::to_string(options.sim.shard_count) +
                              " shards");
   }
-  if (options.isolate) {
-    return run_campaign_isolated(netlist, faults, make_env, fingerprint,
-                                 options);
-  }
 
   CampaignResult out;
-  out.groups_total = campaign_groups(faults, options.sim);
+  // A temporary: run_fault_sim builds the plan it runs on.
+  out.groups_total = fault::GroupPlan(faults, options.sim).num_groups();
   out.shard_groups_total = shard_groups(out.groups_total, options.sim);
   const bool sharded = options.sim.shard_count > 1;
 
@@ -158,8 +131,24 @@ CampaignResult run_campaign(const nl::Netlist& netlist,
       seeded.fetch_add(1, std::memory_order_relaxed);
       return true;
     };
-    sim.on_group = [&journal](const fault::GroupRecord& rec) {
-      journal.writer->add(rec);
+  }
+  sim.on_group = [&journal, &out](const fault::GroupRecord& rec) {
+    if (journal.writer) journal.writer->add(rec);
+    if (rec.quarantined) {
+      out.quarantined_groups.push_back({rec.group, rec.error});
+    }
+  };
+
+  // --isolate changes only how a group is executed: the engine's pool
+  // stays the scheduler, and each pool thread hands its groups to its
+  // own forked worker. Every worker is reaped when `workers` goes out of
+  // scope, whether the engine returns or throws.
+  std::optional<IsolatedWorkers> workers;
+  if (options.isolate) {
+    workers.emplace(options);
+    sim.simulate_group = [&workers](fault::GroupSimulator& pristine,
+                                    unsigned worker, std::size_t group) {
+      return workers->simulate(pristine, worker, group);
     };
   }
 
@@ -174,10 +163,13 @@ CampaignResult run_campaign(const nl::Netlist& netlist,
     topt.shard_count = options.sim.shard_count;
     // Shard-local total: the heartbeat's groups_total/ETA describe what
     // this runner is responsible for, not the whole campaign.
-    tele.emplace(topt, "threads", out.shard_groups_total);
-    sim.on_group_metric = [&tele](const fault::GroupRecord& rec, bool seeded,
-                                  double duration_ms) {
-      tele->record(to_group_metric(rec, seeded, duration_ms));
+    tele.emplace(topt, options.isolate ? "isolate" : "threads",
+                 out.shard_groups_total);
+    sim.on_group_metric = [&tele, &workers](const fault::GroupRecord& rec,
+                                            bool seeded, double duration_ms) {
+      telemetry::GroupMetric m = to_group_metric(rec, seeded, duration_ms);
+      if (workers && !seeded) workers->charge_attempts(&m);
+      tele->record(m);
     };
   }
 
@@ -186,8 +178,18 @@ CampaignResult run_campaign(const nl::Netlist& netlist,
   out.seeded_groups = seeded.load(std::memory_order_relaxed);
   out.resumed = out.seeded_groups != 0;
   out.interrupted = out.result.cancelled;
+  if (workers) out.worker_restarts = workers->restarts();
   if (tele) tele->finish(out.interrupted);
-  finish_campaign_result(faults, options, &out);
+
+  out.signal = options.handle_signals ? util::drain_signal() : 0;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (out.result.timed_out[i]) ++out.faults_timed_out;
+    if (out.result.quarantined[i]) ++out.faults_quarantined;
+  }
+  std::sort(out.quarantined_groups.begin(), out.quarantined_groups.end(),
+            [](const QuarantinedGroup& a, const QuarantinedGroup& b) {
+              return a.group < b.group;
+            });
   return out;
 }
 

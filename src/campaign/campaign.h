@@ -18,8 +18,9 @@
 //     verdict state), so coverage is reported as an explicit lower
 //     bound instead of silently counting them undetected.
 //
-// The engine stays oblivious to storage: this layer only fills the
-// seed_group/on_group/cancel hooks of FaultSimOptions.
+// The engine stays oblivious to storage and processes: this layer only
+// fills the seed_group/on_group/on_group_metric/cancel hooks of
+// FaultSimOptions, plus simulate_group under --isolate.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +35,7 @@
 
 namespace sbst::campaign {
 
-/// Process-isolation knobs (CampaignOptions::isolate). The supervisor
+/// Process-isolation knobs (CampaignOptions::isolate). IsolatedWorkers
 /// (supervisor.h) forks sandboxed worker processes and contains the
 /// blast radius of a pathological fault group to that group.
 struct IsolateOptions {
@@ -66,10 +67,10 @@ struct CampaignOptions {
   /// itself (tests, embedding).
   bool handle_signals = false;
   /// Run fault groups in forked, rlimit-sandboxed worker processes
-  /// (supervisor.h) instead of in-process threads. A worker that
-  /// segfaults, OOMs or hangs is reaped and respawned; a group that
-  /// fails every retry is quarantined instead of killing the campaign.
-  /// Results are bit-identical to the in-process mode for all
+  /// (supervisor.h), one per engine thread, instead of in those threads.
+  /// A worker that segfaults, OOMs or hangs is reaped and respawned; a
+  /// group that fails every retry is quarantined instead of killing the
+  /// campaign. Results are bit-identical to the in-process mode for all
   /// non-quarantined groups. sim.threads is the worker-process count
   /// in this mode (0 = one per hardware thread).
   bool isolate = false;
@@ -87,9 +88,9 @@ struct CampaignOptions {
   /// salvaging reader drops whatever never landed).
   util::Durability durability = util::Durability::kFlush;
   /// Engine options (threads, sample, max_cycles, group_timeout_ms,
-  /// time_budget_ms, progress). The seed_group/on_group hooks and —
-  /// when handle_signals is set — the cancel flag are overwritten by
-  /// run_campaign.
+  /// time_budget_ms, progress). The seed_group, on_group,
+  /// on_group_metric and simulate_group hooks and — when handle_signals
+  /// is set — the cancel flag are overwritten by run_campaign.
   fault::FaultSimOptions sim;
 };
 
@@ -138,11 +139,6 @@ std::uint64_t fingerprint_bytes(std::uint64_t h, const void* data,
                                 std::size_t len);
 std::uint64_t fingerprint_u64(std::uint64_t h, std::uint64_t v);
 
-/// Number of 63-fault groups run_fault_sim will schedule for this fault
-/// list under `sim` (sampling included) — the journal's group universe.
-std::size_t campaign_groups(const nl::FaultList& faults,
-                            const fault::FaultSimOptions& sim);
-
 /// Groups in this run's shard residue class: |{g < total_groups :
 /// g % shard_count == shard_index}|. total_groups when unsharded.
 std::size_t shard_groups(std::size_t total_groups,
@@ -150,8 +146,9 @@ std::size_t shard_groups(std::size_t total_groups,
 
 /// Translates one engine GroupRecord into the telemetry schema: verdict
 /// counts from the detection mask, engine attribution, and the work
-/// counters the record carried. The isolated supervisor overrides the
-/// attempt/rusage fields afterwards; threaded mode uses the defaults.
+/// counters the record carried. Under --isolate, a group that succeeded
+/// on a retry gets its attempt/rusage fields charged afterwards
+/// (IsolatedWorkers::charge_attempts); a quarantined record carries them.
 telemetry::GroupMetric to_group_metric(const fault::GroupRecord& rec,
                                        bool seeded, double duration_ms);
 

@@ -59,8 +59,8 @@ struct GroupError {
   std::int32_t term_signal = 0;  // signal that killed the last attempt, 0 = exited
   std::int32_t exit_code = 0;    // exit status when term_signal == 0
   std::uint32_t attempts = 0;    // total attempts before quarantine
-  std::uint64_t max_rss_kb = 0;  // peak RSS of the last attempt (rusage)
-  std::uint64_t cpu_ms = 0;      // user+sys CPU of the last attempt
+  std::uint64_t max_rss_kb = 0;  // peak RSS over all attempts (rusage)
+  std::uint64_t cpu_ms = 0;      // user+sys CPU summed over all attempts
 };
 
 /// Which kernel actually produced a group's record. Stored with the
@@ -135,6 +135,8 @@ struct Progress {
   std::size_t total = 0;   // groups in the whole campaign
 };
 
+class GroupSimulator;
+
 struct FaultSimOptions {
   std::uint64_t max_cycles = 1'000'000;
   /// Kernel used to simulate fault groups; see Engine.
@@ -200,6 +202,17 @@ struct FaultSimOptions {
   /// the metrics stream.
   std::function<void(const GroupRecord&, bool seeded, double duration_ms)>
       on_group_metric;
+  /// Execution hook: when set, simulates every group that is neither
+  /// seeded nor past the run deadline, in place of
+  /// GroupSimulator::simulate, and work items are single groups under
+  /// either engine. It receives the executing worker's simulator, which
+  /// the engine then never simulates with (so it stays pristine, e.g. to
+  /// fork from), that worker's index in [0, threads) and the group.
+  /// Called after the good trace was fetched, concurrently from worker
+  /// threads when threads != 1. Callers (src/campaign) own the executor.
+  std::function<GroupRecord(GroupSimulator& pristine, unsigned worker,
+                            std::size_t group)>
+      simulate_group;
 };
 
 struct FaultSimResult {
@@ -269,10 +282,10 @@ struct KernelStats {
 /// environment produced by `make_env`. The engine performs fault dropping
 /// (a group stops as soon as all of its faults are detected) and
 /// schedules 63-fault groups across `options.threads` workers, each with
-/// its own simulation and injection state. Under Engine::kSweep a work
-/// item is two consecutive groups of the schedule, swept as one pair
-/// (GroupSimulator::simulate_pair); records, hooks and progress stay
-/// per group.
+/// its own simulation and injection state. Under Engine::kSweep (without
+/// a simulate_group hook) a work item is two consecutive groups of the
+/// schedule, swept as one pair (GroupSimulator::simulate_pair); records,
+/// hooks and progress stay per group.
 FaultSimResult run_fault_sim(const nl::Netlist& netlist,
                              const nl::FaultList& faults,
                              const EnvFactory& make_env,
@@ -281,10 +294,10 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
 // --- single-group simulation -----------------------------------------------
 //
 // run_fault_sim is built from two smaller pieces that campaign layers
-// (notably the process-isolation supervisor, which schedules groups
-// across forked worker processes instead of threads) reuse directly:
-// GroupPlan owns the deterministic fault-to-group assignment and result
-// splicing, GroupSimulator owns the per-worker simulation state.
+// (notably the process-isolation executor, whose forked workers each run
+// an inherited GroupSimulator) reuse directly: GroupPlan owns the
+// deterministic fault-to-group assignment and result splicing,
+// GroupSimulator owns the per-worker simulation state.
 
 /// The deterministic group universe of one campaign: which faults are
 /// active (sampling applied), how they partition into 63-fault groups,
@@ -325,8 +338,8 @@ class SharedTraceSource;
 
 /// Worker-owned simulation state (sweep values, injection tables, event
 /// kernel) able to simulate any group of a plan, allocated on first use
-/// — build one per worker thread, or once before forking isolated worker
-/// processes (children inherit it copy-on-write). Not thread-safe;
+/// — build one per worker thread; forked worker processes inherit an
+/// unused one copy-on-write. Not thread-safe;
 /// `plan`, `netlist` and `faults` must outlive the simulator.
 ///
 /// When `trace_source` is non-null the simulator runs the event-driven
@@ -370,6 +383,9 @@ class GroupSimulator {
 
   /// Work performed by this simulator so far, whichever kernel ran.
   KernelStats stats() const;
+
+  /// The plan this simulator draws its groups from.
+  const GroupPlan& plan() const;
 
  private:
   struct Impl;

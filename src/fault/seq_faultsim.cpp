@@ -627,6 +627,8 @@ KernelStats GroupSimulator::stats() const {
   return s;
 }
 
+const GroupPlan& GroupSimulator::plan() const { return impl_->plan; }
+
 GroupRecord GroupSimulator::simulate(std::size_t group) {
   GroupRecord rec;
   impl_->simulate(&group, 1, &rec);
@@ -734,7 +736,8 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
 
   // Resolves one work item of up to two groups. Each group is seeded
   // from storage or expired against the campaign deadline on its own;
-  // the rest are simulated together, as one sweep pair when two remain.
+  // the rest are simulated together, as one sweep pair when two remain,
+  // or one at a time by the simulate_group hook when it is set.
   // Seeded groups are not re-journaled; simulated and deadline-expired
   // ones go through on_group. Telemetry charges each simulated group an
   // equal share of the item's simulation wall time, so per-group
@@ -759,8 +762,8 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
     }
     report_progress(seeded);
   };
-  auto process_item = [&](GroupSimulator& sim, const std::size_t* groups,
-                          std::size_t n) {
+  auto process_item = [&](GroupSimulator& sim, unsigned worker,
+                          const std::size_t* groups, std::size_t n) {
     std::array<std::size_t, 2> to_simulate{};
     std::size_t num_simulate = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -797,6 +800,8 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
     std::array<GroupRecord, 2> recs;
     if (num_simulate == 2) {
       recs = sim.simulate_pair(to_simulate[0], to_simulate[1]);
+    } else if (options.simulate_group) {
+      recs[0] = options.simulate_group(sim, worker, to_simulate[0]);
     } else {
       recs[0] = sim.simulate(to_simulate[0]);
     }
@@ -808,12 +813,14 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
 
   // Work items: consecutive pairs of the schedule under the sweep (one
   // pass of the netlist advances both groups), single groups under the
-  // event engine.
-  const std::size_t per_item = options.engine == Engine::kSweep ? 2 : 1;
+  // event engine and under the simulate_group hook.
+  const std::size_t per_item =
+      options.engine == Engine::kSweep && !options.simulate_group ? 2 : 1;
   const std::size_t num_items = (schedule.size() + per_item - 1) / per_item;
-  auto run_item = [&](GroupSimulator& sim, std::size_t item) {
+  auto run_item = [&](GroupSimulator& sim, unsigned worker,
+                      std::size_t item) {
     const std::size_t first = item * per_item;
-    process_item(sim, schedule.data() + first,
+    process_item(sim, worker, schedule.data() + first,
                  std::min(per_item, schedule.size() - first));
   };
 
@@ -831,7 +838,7 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
           options.cancel->load(std::memory_order_relaxed)) {
         break;
       }
-      run_item(sim, item);
+      run_item(sim, 0, item);
     }
   } else {
     // Each worker lazily builds its own simulator (its sweep state and
@@ -847,7 +854,7 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
                 compiled);
             workers[w]->set_run_deadline(run_deadline);
           }
-          run_item(*workers[w], item);
+          run_item(*workers[w], w, item);
         },
         options.cancel);
   }

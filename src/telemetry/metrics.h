@@ -124,7 +124,7 @@ struct TelemetryOptions {
 
 /// Thread-safe telemetry sink for one campaign run. record() is called
 /// once per resolved group (from engine worker threads, under the
-/// engine's hook mutex, or from the single-threaded supervisor loop);
+/// engine's hook mutex);
 /// finish() flushes everything and stamps the terminal state. If the
 /// campaign unwinds without reaching finish(), the destructor flushes
 /// with state "interrupted" so a crash-adjacent run still leaves

@@ -78,7 +78,8 @@ TEST(Campaign, UninterruptedRunMatchesEngineAndJournalsEveryGroup) {
   EXPECT_FALSE(cres.resumed);
   EXPECT_FALSE(cres.interrupted);
   EXPECT_EQ(cres.groups_done, cres.groups_total);
-  EXPECT_EQ(cres.groups_total, campaign_groups(fx.faults, opt.sim));
+  EXPECT_EQ(cres.groups_total,
+            fault::GroupPlan(fx.faults, opt.sim).num_groups());
 
   const auto loaded = load_journal(
       opt.journal, {kFp, cres.groups_total, fx.faults.size()});
@@ -234,57 +235,80 @@ TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
   const nl::Netlist n = make_two_group_netlist();
   const nl::FaultList faults = nl::enumerate_faults(n);
 
-  CampaignOptions opt;
-  opt.journal = temp_path("campaign_budget.sbstj");
-  std::remove(opt.journal.c_str());
-  opt.sim.threads = 1;
-  opt.sim.max_cycles = 1'000'000;
-  opt.sim.time_budget_ms = 30;
-  const auto env = []() {
-    return std::make_unique<SlowEnv>(std::chrono::microseconds(200));
-  };
-  const CampaignResult cres = run_campaign(n, faults, env, kFp, opt);
+  // Both execution modes go through the same scheduler, so an isolated
+  // campaign must expire its unstarted groups exactly like a threaded
+  // one instead of handing them to a worker.
+  for (const bool isolate : {false, true}) {
+    SCOPED_TRACE(isolate ? "isolate" : "threads");
+    CampaignOptions opt;
+    opt.journal = temp_path(isolate ? "campaign_budget_iso.sbstj"
+                                    : "campaign_budget.sbstj");
+    std::remove(opt.journal.c_str());
+    opt.isolate = isolate;
+    opt.sim.threads = 1;
+    opt.sim.max_cycles = 1'000'000;
+    opt.sim.time_budget_ms = 30;
+    const auto env = []() {
+      return std::make_unique<SlowEnv>(std::chrono::microseconds(200));
+    };
+    const CampaignResult cres = run_campaign(n, faults, env, kFp, opt);
 
-  // The first group eats the whole budget; later groups must still be
-  // resolved (as timed out) and journaled, not dropped. With threads=1
-  // groups run in order, so every fault past the first 63 belongs to a
-  // group that was unstarted at the deadline: all inconclusive, even
-  // the ones a run without a budget would have detected.
-  EXPECT_EQ(cres.groups_done, cres.groups_total);
-  EXPECT_GT(cres.faults_timed_out, 0u);
-  for (std::size_t i = 63; i < faults.size(); ++i) {
-    EXPECT_EQ(cres.result.timed_out[i], 1) << "fault " << i;
-    EXPECT_EQ(cres.result.detected[i], 0) << "fault " << i;
+    // The first group eats the whole budget; later groups must still be
+    // resolved (as timed out) and journaled, not dropped. With threads=1
+    // groups run in order, so every fault past the first 63 belongs to a
+    // group that was unstarted at the deadline: all inconclusive, even
+    // the ones a run without a budget would have detected.
+    EXPECT_EQ(cres.groups_done, cres.groups_total);
+    EXPECT_GT(cres.faults_timed_out, 0u);
+    for (std::size_t i = 63; i < faults.size(); ++i) {
+      EXPECT_EQ(cres.result.timed_out[i], 1) << "fault " << i;
+      EXPECT_EQ(cres.result.detected[i], 0) << "fault " << i;
+    }
+    // An expired group was never simulated: its journal record carries
+    // no cycles and no engine.
+    const auto loaded = load_journal_raw(opt.journal);
+    ASSERT_TRUE(loaded.has_value());
+    std::size_t expired = 0;
+    for (const fault::GroupRecord& rec : loaded->records) {
+      if (rec.group == 0) continue;
+      ++expired;
+      EXPECT_TRUE(rec.timed_out) << "group " << rec.group;
+      EXPECT_EQ(rec.cycles, 0u) << "group " << rec.group;
+      EXPECT_EQ(rec.engine_used, fault::GroupEngine::kNone)
+          << "group " << rec.group;
+    }
+    EXPECT_EQ(expired, cres.groups_total - 1);
+
+    // A retry run with no budget and an instant environment resolves the
+    // inconclusive groups to the clean result.
+    CampaignOptions retry = opt;
+    retry.sim.time_budget_ms = 0;
+    retry.retry_timed_out = true;
+    const auto fast_env = []() {
+      return std::make_unique<SlowEnv>(std::chrono::microseconds(0));
+    };
+    // Bound the rerun: with constant inputs nothing is ever detected, so
+    // cap cycles to keep the test quick while staying deterministic.
+    retry.sim.max_cycles = 2048;
+    const CampaignResult resolved =
+        run_campaign(n, faults, fast_env, kFp, retry);
+    EXPECT_EQ(resolved.seeded_groups, 0u) << "timed-out records must re-run";
+
+    fault::FaultSimOptions clean = retry.sim;
+    clean.seed_group = nullptr;
+    clean.on_group = nullptr;
+    const fault::FaultSimResult reference =
+        fault::run_fault_sim(n, faults, fast_env, clean);
+    expect_identical(reference, resolved.result, "retry vs clean");
+
+    // The retry appended superseding (non-timed-out) records, and those
+    // win over the stale timed-out ones on the next load — so a further
+    // run seeds everything even with retry_timed_out still set.
+    const CampaignResult reload =
+        run_campaign(n, faults, fast_env, kFp, retry);
+    EXPECT_EQ(reload.seeded_groups, reload.groups_total);
+    expect_identical(reference, reload.result, "superseding records win");
   }
-
-  // A retry run with no budget and an instant environment resolves the
-  // inconclusive groups to the clean result.
-  CampaignOptions retry = opt;
-  retry.sim.time_budget_ms = 0;
-  retry.retry_timed_out = true;
-  const auto fast_env = []() {
-    return std::make_unique<SlowEnv>(std::chrono::microseconds(0));
-  };
-  // Bound the rerun: with constant inputs nothing is ever detected, so
-  // cap cycles to keep the test quick while staying deterministic.
-  retry.sim.max_cycles = 2048;
-  const CampaignResult resolved =
-      run_campaign(n, faults, fast_env, kFp, retry);
-  EXPECT_EQ(resolved.seeded_groups, 0u) << "timed-out records must re-run";
-
-  fault::FaultSimOptions clean = retry.sim;
-  clean.seed_group = nullptr;
-  clean.on_group = nullptr;
-  const fault::FaultSimResult reference =
-      fault::run_fault_sim(n, faults, fast_env, clean);
-  expect_identical(reference, resolved.result, "retry vs clean");
-
-  // The retry appended superseding (non-timed-out) records, and those
-  // win over the stale timed-out ones on the next load — so a further
-  // run seeds everything even with retry_timed_out still set.
-  const CampaignResult reload = run_campaign(n, faults, fast_env, kFp, retry);
-  EXPECT_EQ(reload.seeded_groups, reload.groups_total);
-  expect_identical(reference, reload.result, "superseding records win");
 }
 
 }  // namespace

@@ -98,7 +98,8 @@ TEST(ShardCampaign, ShardedRunsMergeToBitIdenticalResume) {
   const fault::FaultSimResult reference =
       fault::run_fault_sim(fx.cpu.netlist, fx.faults, fx.env(), ref_opt.sim);
 
-  const std::size_t universe = campaign_groups(fx.faults, ref_opt.sim);
+  const std::size_t universe =
+      fault::GroupPlan(fx.faults, ref_opt.sim).num_groups();
   std::vector<std::string> shard_journals;
   for (std::uint32_t i = 0; i < 2; ++i) {
     CampaignOptions opt = ParwanCampaign::base_options(2);
@@ -155,7 +156,8 @@ TEST(ShardCampaign, InterruptedShardResumesWithinResidueClass) {
   CampaignOptions ref_opt = ParwanCampaign::base_options(1);
   const fault::FaultSimResult reference =
       fault::run_fault_sim(fx.cpu.netlist, fx.faults, fx.env(), ref_opt.sim);
-  const std::size_t universe = campaign_groups(fx.faults, ref_opt.sim);
+  const std::size_t universe =
+      fault::GroupPlan(fx.faults, ref_opt.sim).num_groups();
 
   const std::string j0 = temp_path("shard_drain0.sbstj");
   const std::string j1 = temp_path("shard_drain1.sbstj");
@@ -205,14 +207,13 @@ TEST(ShardCampaign, InterruptedShardResumesWithinResidueClass) {
   expect_identical(reference, whole.result, "drained shard merge");
 }
 
-// Named outside the TSan suite regex on purpose: --isolate forks
-// worker processes, which TSan instrumentation does not tolerate.
 TEST(ShardIsolate, MergedResumeBitIdenticalUnderIsolation) {
   const auto& fx = fixture();
   CampaignOptions ref_opt = ParwanCampaign::base_options(1);
   const fault::FaultSimResult reference =
       fault::run_fault_sim(fx.cpu.netlist, fx.faults, fx.env(), ref_opt.sim);
-  const std::size_t universe = campaign_groups(fx.faults, ref_opt.sim);
+  const std::size_t universe =
+      fault::GroupPlan(fx.faults, ref_opt.sim).num_groups();
 
   std::vector<std::string> shard_journals;
   for (std::uint32_t i = 0; i < 2; ++i) {

@@ -15,6 +15,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "campaign/campaign.h"
@@ -265,6 +266,49 @@ TEST(Supervisor, NoWorkerOutlivesQuarantineOrDrain) {
       run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, drain);
   ASSERT_TRUE(drained.interrupted);
   EXPECT_TRUE(no_children_left()) << "a worker outlived the drain";
+
+  // A hook that throws mid-campaign unwinds run_campaign, and the
+  // workers are still reaped on the way out.
+  CampaignOptions failing = ParwanIsolated::base_options();
+  failing.isolate = true;
+  failing.sim.threads = 2;
+  failing.sim.progress = [](const fault::Progress& p) {
+    if (p.done >= 3) throw std::runtime_error("progress sink failed");
+  };
+  EXPECT_THROW(
+      run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, failing),
+      std::runtime_error);
+  EXPECT_TRUE(no_children_left()) << "a worker outlived the exception";
+}
+
+TEST(Supervisor, ResumeFromFullJournalReportsProgressForEverySeededGroup) {
+  // Progress fires once per resolved group, seeded ones included, in
+  // both execution modes.
+  const auto& fx = fixture();
+  CampaignOptions opt = ParwanIsolated::base_options();
+  opt.isolate = true;
+  opt.sim.threads = 2;
+  opt.journal = temp_path("sup_progress.sbstj");
+  std::remove(opt.journal.c_str());
+  run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, opt);
+
+  for (const bool isolate : {true, false}) {
+    CampaignOptions resume = opt;
+    resume.isolate = isolate;
+    std::size_t calls = 0;
+    fault::Progress last;
+    resume.sim.progress = [&](const fault::Progress& p) {
+      ++calls;
+      last = p;
+    };
+    const CampaignResult res =
+        run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, resume);
+    EXPECT_EQ(res.seeded_groups, res.groups_total);
+    EXPECT_EQ(calls, res.groups_total) << (isolate ? "isolate" : "threads");
+    EXPECT_EQ(last.done, res.groups_total);
+    EXPECT_EQ(last.seeded, res.groups_total);
+    EXPECT_EQ(res.worker_restarts, 0u);
+  }
 }
 
 /// Environment that hoards memory the way a leaking testbench would:

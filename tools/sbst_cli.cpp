@@ -62,7 +62,7 @@
 //                                      heartbeat lease file for the
 //                                      dispatcher (see sbst dispatch).
 //   sbst dispatch FILE.s --shards N --journal-dir D
-//              [--workers-per-shard K] [--max-shard-retries R]
+//              [--threads K] [--max-shard-retries R]
 //              [--stale-after SEC] [--backoff-ms MS]
 //              [--status F.json] [--sample N] [--engine E]
 //              [--durability D] [-o MERGED.sbstj]
@@ -75,6 +75,8 @@
 //                                      jittered exponential backoff.
 //                                      With -o the shard journals are
 //                                      merged when all shards complete.
+//                                      --threads K is passed to every
+//                                      runner as its --threads.
 //                                      Exit 0 all complete, 3 drained
 //                                      (resumable), 1 otherwise.
 //   sbst stats METRICS.ndjson...       aggregate --metrics files: group
@@ -676,7 +678,7 @@ int cmd_grade(int argc, char** argv) {
 int cmd_dispatch(int argc, char** argv) {
   unsigned shards = 0;
   std::string journal_dir;
-  unsigned workers_per_shard = 0;
+  unsigned threads = 0;  // passed on to every runner
   unsigned max_shard_retries = 3;
   std::uint64_t stale_after_s = 10;
   std::uint64_t backoff_ms = 500;
@@ -690,7 +692,7 @@ int cmd_dispatch(int argc, char** argv) {
   const auto pos = util::ArgParser(argc, argv)
                        .value_count("--shards", &shards)
                        .value("--journal-dir", &journal_dir)
-                       .value_count("--workers-per-shard", &workers_per_shard)
+                       .value_count("--threads", &threads)
                        .value_unsigned("--max-shard-retries",
                                        &max_shard_retries)
                        .value_u64("--stale-after", &stale_after_s)
@@ -751,9 +753,9 @@ int cmd_dispatch(int argc, char** argv) {
         "--sample",  std::to_string(sample),
         "--engine",  engine,
         "--durability", durability};
-    if (workers_per_shard != 0) {
+    if (threads != 0) {
       argv.push_back("--threads");
-      argv.push_back(std::to_string(workers_per_shard));
+      argv.push_back(std::to_string(threads));
     }
     if (group_timeout_s != 0) {
       argv.push_back("--group-timeout");
