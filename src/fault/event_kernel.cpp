@@ -95,8 +95,7 @@ EventKernel::EventKernel(const nl::Netlist& netlist,
   arena_.resize(lv.comb_order.size());
   slot_.assign(n, Slot{0, 0});
   seen_.assign(n, 0);
-  queued_.assign(n, 0);
-  cand_mark_.assign(n, 0);
+  scheduled_.assign(n, 0);
 }
 
 void EventKernel::simulate(const detail::InjectionTable& inj, int count,
@@ -166,8 +165,8 @@ void EventKernel::simulate(const detail::InjectionTable& inj, int count,
       return s.mark == st ? s.v : GoodTrace::broadcast_bit(plane, d);
     };
     auto enqueue = [&](nl::GateId g, std::uint32_t lvl) {
-      if (queued_[g] == st) return;
-      queued_[g] = st;
+      if (scheduled_[g] == st) return;
+      scheduled_[g] = st;
       arena[bend[lvl]++] = g;
       if (lvl > lvl_hi) lvl_hi = lvl;
     };
@@ -176,10 +175,10 @@ void EventKernel::simulate(const detail::InjectionTable& inj, int count,
         const nl::GateId c = fo[e];
         if (const std::uint32_t lvl = fo_lvl[e]; lvl != 0) {
           enqueue(c, lvl);
-        } else if (cand_mark_[c] != st) {
+        } else if (scheduled_[c] != st) {
           // Flip-flops do not propagate combinationally; they become
           // re-clock candidates at this cycle's edge.
-          cand_mark_[c] = st;
+          scheduled_[c] = st;
           dff_cands_.push_back(c);
         }
       }
@@ -286,8 +285,8 @@ void EventKernel::simulate(const detail::InjectionTable& inj, int count,
     //    other flip-flops converge to the recorded good state.
     if (cycle + 1 < T) {
       for (nl::GateId g : dffd_gates_) {
-        if (cand_mark_[g] != st) {
-          cand_mark_[g] = st;
+        if (scheduled_[g] != st) {
+          scheduled_[g] = st;
           dff_cands_.push_back(g);
         }
       }

@@ -122,8 +122,10 @@ class EventKernel {
   std::uint64_t stamp_ = 0;
   std::vector<Slot> slot_;
   std::vector<std::uint64_t> seen_;       // seed processed this stamp
-  std::vector<std::uint64_t> queued_;     // in a level bucket this stamp
-  std::vector<std::uint64_t> cand_mark_;  // DFF candidate this stamp
+  // Scheduled this stamp: a combinational gate sits in a level bucket,
+  // a flip-flop in dff_cands_. Only combinational gates are queued and
+  // only flip-flops become candidates, so one array serves both.
+  std::vector<std::uint64_t> scheduled_;
   // Flat worklist: level L's bucket is arena_[bucket_begin_[L] ..
   // bucket_end_[L]); a level never holds more gates than it has.
   std::vector<nl::GateId> arena_;

@@ -263,6 +263,10 @@ struct FaultSimResult {
   /// was cut short by the run deadline / cancellation).
   std::size_t trace_bytes = 0;
   bool trace_fallback = false;
+  /// Cycles and wall time of the good-trace recording (0 when none was
+  /// attempted). The time covers a failed attempt too.
+  std::uint64_t trace_cycles = 0;
+  double trace_record_ms = 0.0;
 };
 
 /// Work counters exposed by GroupSimulator for benchmarks: gate

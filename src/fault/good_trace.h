@@ -28,9 +28,10 @@ class Environment;
 struct FaultSimOptions;
 using EnvFactory = std::function<std::unique_ptr<Environment>()>;
 
-/// Immutable packed good-value bitplanes holding, for every cycle, one
-/// bit per gate with the value after drive+eval of that cycle (the
-/// instant the sweep kernel compares primary outputs). Shared read-only
+/// Packed good-value bitplanes holding, for every cycle, one bit per
+/// gate with the value after drive+eval of that cycle (the instant the
+/// sweep kernel compares primary outputs). Filled once by
+/// record_good_trace and immutable from then on: shared read-only
 /// across worker threads and inherited copy-on-write by forked
 /// --isolate workers.
 ///
@@ -40,31 +41,41 @@ using EnvFactory = std::function<std::unique_ptr<Environment>()>;
 /// reconstructs the same handful of gates across *adjacent* cycles, and
 /// under this tiling those reads land on the same cache line instead of
 /// a full plane apart.
+///
+/// Blocks live in fixed-size chunks of kChunkBlocks, each allocated
+/// uninitialised when recording reaches it, so growing the trace never
+/// copies what was already recorded and the allocation exceeds
+/// memory_bytes() by less than one chunk, whose pages past the last
+/// recorded block are never written.
 class GoodTrace {
  public:
   /// Cycles per tile block; a 64-gate word group spans exactly one
   /// 64-byte cache line per block.
   static constexpr std::uint64_t kCycleBlock = 8;
+  /// Tile blocks per storage chunk (508 KiB on the Plasma core).
+  static constexpr std::uint64_t kChunkBlocks = 64;
 
-  /// `planes` must be tiled (see record_good_trace): block b holds
-  /// words [b * words_per_cycle * 8, ...), laid out word-group-major
-  /// with the 8 cycle samples of each group adjacent.
-  GoodTrace(std::size_t num_gates, std::vector<sim::Word> planes,
-            std::uint64_t cycles)
-      : words_per_cycle_((num_gates + 63) / 64),
-        planes_(std::move(planes)),
-        cycles_(cycles) {}
+  /// An empty trace of a `num_gates`-gate netlist; record_good_trace
+  /// fills it through append_block() and finish().
+  explicit GoodTrace(std::size_t num_gates)
+      : block_words_((num_gates + 63) / 64 * kCycleBlock) {}
 
   /// Cycles recorded: the environment's stop cycle, or max_cycles.
   std::uint64_t cycles() const { return cycles_; }
+  /// Bytes of recorded tile blocks: ceil(cycles / 8) blocks.
   std::size_t memory_bytes() const {
-    return planes_.size() * sizeof(sim::Word);
+    return blocks_ * block_words_ * sizeof(sim::Word);
+  }
+  /// Bytes allocated for chunks; below memory_bytes() + one chunk.
+  std::size_t allocated_bytes() const {
+    return chunks_.size() * kChunkBlocks * block_words_ * sizeof(sim::Word);
   }
 
   /// Base pointer for cycle t; pass to broadcast_bit to read gates.
   const sim::Word* cycle_base(std::uint64_t t) const {
-    return planes_.data() + (t >> 3) * (words_per_cycle_ * kCycleBlock) +
-           (t & 7);
+    const std::uint64_t b = t >> 3;
+    return chunks_[b / kChunkBlocks].get() +
+           (b % kChunkBlocks) * block_words_ + (t & 7);
   }
 
   /// Good value of gate g at cycle t, broadcast to a full word.
@@ -77,10 +88,20 @@ class GoodTrace {
     return sim::Word{0} - ((base[(g >> 6) << 3] >> (g & 63)) & 1);
   }
 
+  /// Appends one uninitialised tile block (allocating a new chunk when
+  /// the last one is full) and returns its first word.
+  sim::Word* append_block();
+
+  /// Seals a recording of `cycles` cycles (all appended blocks, the
+  /// last possibly partial): its unrecorded samples are zeroed so every
+  /// stored byte is defined.
+  void finish(std::uint64_t cycles);
+
  private:
-  std::size_t words_per_cycle_;
-  std::vector<sim::Word> planes_;
-  std::uint64_t cycles_;
+  std::size_t block_words_;  // words_per_cycle * kCycleBlock
+  std::vector<std::unique_ptr<sim::Word[]>> chunks_;
+  std::size_t blocks_ = 0;
+  std::uint64_t cycles_ = 0;
 };
 
 /// Runs the environment once on a plain LogicSim and records the packed
@@ -124,9 +145,13 @@ class SharedTraceSource {
   /// Records on first call; thread-safe. nullptr = fall back to sweep.
   std::shared_ptr<const GoodTrace> get() {
     std::call_once(once_, [this] {
+      const auto started = std::chrono::steady_clock::now();
       trace_ = record_good_trace(*netlist_, make_env_, max_cycles_,
                                  mem_cap_bytes_, deadline_, cancel_,
                                  compiled_);
+      record_ms_ = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - started)
+                       .count();
       attempted_.store(true, std::memory_order_release);
     });
     return trace_;
@@ -141,6 +166,11 @@ class SharedTraceSource {
   std::size_t trace_bytes() const {
     return attempted() && trace_ ? trace_->memory_bytes() : 0;
   }
+  std::uint64_t trace_cycles() const {
+    return attempted() && trace_ ? trace_->cycles() : 0;
+  }
+  /// Wall time of the recording attempt (0 when none was made).
+  double record_ms() const { return attempted() ? record_ms_ : 0.0; }
 
  private:
   const nl::Netlist* netlist_;
@@ -152,6 +182,7 @@ class SharedTraceSource {
   const std::atomic<bool>* cancel_;
   std::once_flag once_;
   std::shared_ptr<const GoodTrace> trace_;
+  double record_ms_ = 0.0;
   std::atomic<bool> attempted_{false};
 };
 

@@ -864,6 +864,8 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
   if (trace_source) {
     res.trace_bytes = trace_source->trace_bytes();
     res.trace_fallback = trace_source->fell_back();
+    res.trace_cycles = trace_source->trace_cycles();
+    res.trace_record_ms = trace_source->record_ms();
   }
   res.good_cycles = good_cycles.load(std::memory_order_relaxed);
   res.groups_done = groups_done.load(std::memory_order_relaxed);

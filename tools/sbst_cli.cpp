@@ -41,9 +41,13 @@
 //                                      both produce bit-identical grades,
 //                                      and journals mix freely across
 //                                      engines. --trace-mem-mb caps the
-//                                      event engine's recorded good trace
-//                                      (default 1024 MiB, 0 = unlimited);
-//                                      exceeding it falls back to sweep.
+//                                      stored bytes of the event engine's
+//                                      good trace (default 1024 MiB, 0 =
+//                                      unlimited; memory stays within one
+//                                      storage chunk of them); exceeding
+//                                      it falls back to sweep. A recorded
+//                                      trace is reported on stderr as
+//                                      "good trace: C cycles, M MiB, T ms".
 //                                      --metrics streams one NDJSON object
 //                                      per resolved 63-fault group (see
 //                                      telemetry/metrics.h for the schema);
@@ -585,6 +589,12 @@ int cmd_grade(int argc, char** argv) {
     std::fprintf(stderr,
                  "warning: %zu worker process(es) died and were respawned\n",
                  cres.worker_restarts);
+  }
+  if (cres.result.trace_bytes != 0) {
+    std::fprintf(stderr, "good trace: %llu cycles, %.2f MiB, %.0f ms\n",
+                 static_cast<unsigned long long>(cres.result.trace_cycles),
+                 static_cast<double>(cres.result.trace_bytes) / 1048576.0,
+                 cres.result.trace_record_ms);
   }
   if (cres.result.trace_fallback) {
     std::fprintf(stderr,
