@@ -33,7 +33,6 @@ class Builder {
   // mux(sel, 0, 0)) whose faults are structurally untestable and would
   // distort both gate counts and fault-coverage denominators.
   GateId lit(bool v) const { return v ? nl_->const1() : nl_->const0(); }
-  GateId buf(GateId a) { return nl_->add_gate(nl::GateKind::kBuf, a); }
   GateId not_(GateId a);
   GateId and_(GateId a, GateId b);
   GateId or_(GateId a, GateId b);

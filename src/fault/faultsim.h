@@ -103,9 +103,10 @@ struct GroupRecord {
   /// only compare between records with equal engines).
   GroupEngine engine_used = GroupEngine::kNone;
   /// Gate evaluations split by compiled base op (AND/OR/XOR/MUX, in
-  /// nl::CompiledOp order; inverting kinds fold into their base op, BUFs
-  /// into the gate they forward). Sums to gates_evaluated. Sweep-kernel
-  /// tallies are a pure function of (netlist, cycles); event-kernel
+  /// nl::CompiledOp order, bucketed by nl::op_class: inverting kinds
+  /// count under their base op, BUF under AND). Sums to gates_evaluated.
+  /// Sweep-kernel tallies are a pure function of (netlist, cycles), the
+  /// nodes the compiled program evaluated; event-kernel
   /// tallies count the evaluations actually performed. Zero for records
   /// journaled before this accounting existed.
   std::array<std::uint64_t, nl::kNumCompiledOps> evals_by_kind = {0, 0, 0, 0};

@@ -95,21 +95,10 @@ class PairSweep final : public sim::PortIo {
   /// The pair's injections: lane l's fault i owns machine bit 64*l + i.
   PairInjections& injections() { return inj_; }
 
-  /// Starts a pair after its injections were added: picks the evaluator,
-  /// loads reset state and applies the state injections. The compiled
-  /// program runs unless an injection sits on a gate the compiler folded
-  /// away (faults never sit on BUF gates — fault.h strips them from the
-  /// universe — but hand-built fault lists can, and then the whole pair
-  /// runs the interpreted sweep).
+  /// Starts a pair after its injections were added: collects the fixup
+  /// sites, loads reset state and applies the state injections.
   void start() {
-    compiled_ = true;
-    for (nl::GateId g : inj_.slotted_gates()) {
-      if (netlist_->gate(g).kind != nl::GateKind::kDff &&
-          cn_->node_of_gate[g] == nl::kNoNode) {
-        compiled_ = false;
-      }
-    }
-    if (compiled_) fixups_.rebuild(*cn_, *netlist_, inj_);
+    fixups_.rebuild(*cn_, *netlist_, inj_);
     d_forces_.clear();
     for (std::size_t i = 0; i < cn_->dff_gate.size(); ++i) {
       if (const std::uint32_t slot = inj_.slot(cn_->dff_gate[i]); slot != 0) {
@@ -136,11 +125,7 @@ class PairSweep final : public sim::PortIo {
   /// input-branch and output-stem forcing on the injected gates.
   void eval() {
     apply_state_injections();
-    if (compiled_) {
-      eval_compiled();
-    } else {
-      eval_interpreted();
-    }
+    eval_compiled();
   }
 
   /// Detection words: per lane, the machines whose primary outputs
@@ -156,22 +141,13 @@ class PairSweep final : public sim::PortIo {
   }
 
   /// Clocks DFFs with D-pin fault forcing, then re-applies Q-output
-  /// faults. D is read through its fold root when the compiled program
-  /// ran (copies have materialized, so the value is the same), else
-  /// through the original driver, which the interpreted sweep evaluated
-  /// with its forcing.
+  /// faults.
   void step_clock() {
     const std::size_t num_dffs = cn_->dff_gate.size();
     const nl::GateId* const q = cn_->dff_gate.data();
+    const std::uint32_t* const d = cn_->dff_d.data();
     PairWord* const v = v_.data();
-    if (compiled_) {
-      const std::uint32_t* const d = cn_->dff_d.data();
-      for (std::size_t i = 0; i < num_dffs; ++i) next_[i] = v[d[i]];
-    } else {
-      for (std::size_t i = 0; i < num_dffs; ++i) {
-        next_[i] = v[netlist_->gate(q[i]).in[0]];
-      }
-    }
+    for (std::size_t i = 0; i < num_dffs; ++i) next_[i] = v[d[i]];
     for (const auto& [i, slot] : d_forces_) {
       const PairForce& f = inj_.force_record(slot);
       next_[i] = (next_[i] | f.set[1]) & ~f.clr[1];
@@ -198,9 +174,7 @@ class PairSweep final : public sim::PortIo {
   /// Compiled sweep: branch-free per-run evaluation, with the handful of
   /// injected gates re-evaluated interpretively at the end of their level
   /// (their consumers sit at strictly higher levels, so the fixup lands
-  /// before anything reads the forced word). Operands are read through
-  /// the fold roots because copies materialize only after the sweep.
-  /// Bit-identical to eval_interpreted on every gate.
+  /// before anything reads the forced word).
   void eval_compiled() {
     const nl::CompiledNetlist& cn = *cn_;
     PairWord* const v = v_.data();
@@ -208,7 +182,7 @@ class PairSweep final : public sim::PortIo {
       for (const nl::CompiledRun& r : cn.runs) nl::eval_run(cn, r, v);
     } else {
       auto rd = [&](nl::GateId d) -> PairWord {
-        return d < cn.num_gates ? v[cn.fold_root[d]] : PairWord{};
+        return d < cn.num_gates ? v[d] : PairWord{};
       };
       std::size_t fx = 0;
       const std::uint32_t num_levels = cn.lv.max_level + 1;
@@ -231,29 +205,6 @@ class PairSweep final : public sim::PortIo {
         }
       }
     }
-    nl::apply_copies(cn, v);
-  }
-
-  /// Interpreted sweep over the original gates in levelized order, for
-  /// pairs with an injection on a folded gate.
-  void eval_interpreted() {
-    PairWord* const v = v_.data();
-    for (nl::GateId g : cn_->lv.comb_order) {
-      const nl::Gate& gate = netlist_->gate(g);
-      PairWord a = v[gate.in[0]];
-      PairWord b = gate.in[1] == nl::kNoGate ? PairWord{} : v[gate.in[1]];
-      PairWord c = gate.in[2] == nl::kNoGate ? PairWord{} : v[gate.in[2]];
-      if (const std::uint32_t slot = inj_.slot(g); slot != 0) [[unlikely]] {
-        const PairForce& f = inj_.force_record(slot);
-        a = (a | f.set[1]) & ~f.clr[1];
-        b = (b | f.set[2]) & ~f.clr[2];
-        c = (c | f.set[3]) & ~f.clr[3];
-        const PairWord w = sim::eval_gate(gate.kind, a, b, c);
-        v[g] = (w | f.set[0]) & ~f.clr[0];
-      } else {
-        v[g] = sim::eval_gate(gate.kind, a, b, c);
-      }
-    }
   }
 
   const nl::Netlist* netlist_;
@@ -264,7 +215,6 @@ class PairSweep final : public sim::PortIo {
   CompiledFixups fixups_;
   /// D-pin-injected DFFs of the pair: (DFF index, injection slot).
   std::vector<std::pair<std::size_t, std::uint32_t>> d_forces_;
-  bool compiled_ = true;
 };
 
 std::vector<std::size_t> choose_sample(std::size_t universe, std::size_t n,
@@ -391,10 +341,10 @@ struct GroupSimulator::Impl {
   // did not pass one); its levelization serves both kernels.
   std::shared_ptr<const nl::CompiledNetlist> compiled;
   std::vector<nl::GateId> po_bits;
-  // Per-cycle static sweep tallies: how many comb gates of each base-op
-  // class one full sweep evaluates (folded BUFs class as the AND lane
-  // they forward through). A pure function of the netlist, so sweep
-  // evals_by_kind does not depend on which sweep evaluator ran.
+  // Per-cycle sweep tallies: how many nodes of each base-op class one
+  // full sweep evaluates. Every comb gate is one node of its op_class
+  // (BUF in the AND lane), so these are exact counts of the compiled
+  // program's work.
   std::array<std::uint64_t, nl::kNumCompiledOps> sweep_kinds_per_cycle = {
       0, 0, 0, 0};
   // Sweep state, built on the first swept group.
@@ -489,10 +439,9 @@ void GroupSimulator::Impl::simulate_sweep(const KernelDeadlines& deadlines,
   std::unique_ptr<Environment> env = make_env();
 
   // Closes lane l's record: `cycles` as a lone run reports them, and
-  // `evaluated` swept cycles for the work counters. Sweep counters are
-  // normalized to the interpreted sweep (every comb gate once per cycle,
-  // folded BUFs included), so they are a pure function of (netlist,
-  // evaluated cycles) whichever evaluator ran.
+  // `evaluated` swept cycles for the work counters. Every comb gate is
+  // one compiled node, so `evaluated × comb_order.size()` is exactly the
+  // nodes the sweep evaluated (injection fixups not counted).
   const auto finish_lane = [&](int l, std::uint64_t cycles,
                                std::uint64_t evaluated) {
     GroupRecord& rec = recs[l];

@@ -10,15 +10,12 @@
 //     loads — three contiguous u32 fanin streams and one output stream);
 //   * NAND/NOR/XNOR/NOT fold into the base AND/OR/XOR ops plus one
 //     precomputed output-inversion word per run ((a op b) ^ inv);
-//   * BUF chains fold at compile time: consumers are rewired to the chain
-//     root, and each folded BUF becomes a value copy executed after the
-//     sweep so externally observable state (primary outputs, traces,
-//     environment reads) is unchanged. BUFs that are primary-output bits
-//     are materialized as AND(a, a) nodes instead, so every PO bit keeps
-//     a node of its own. Constant gates are aliases of themselves — they
-//     are never re-evaluated and never constant-propagated (output-stem
-//     faults on constants are forced per group by the injection layer,
-//     which aggressive folding would break).
+//   * every combinational gate keeps a node of its own; BUF lowers to
+//     AND(a, a), so fault injection can force any gate's output slot and
+//     every sweep runs this one program. Constant gates are aliases of
+//     themselves — they are never re-evaluated and never
+//     constant-propagated (output-stem faults on constants are forced per
+//     group by the injection layer, which aggressive folding would break).
 //
 // Values stay indexed by original GateId (one extra always-zero slot at
 // index num_gates stands in for kNoGate), so the injection tables, the
@@ -41,12 +38,9 @@ namespace sbst::nl {
 enum class CompiledOp : std::uint8_t { kAnd = 0, kOr = 1, kXor = 2, kMux = 3 };
 inline constexpr int kNumCompiledOps = 4;
 
-/// Sentinel for "gate has no compiled node" (folded BUF or non-comb).
-inline constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
-
 /// Base-op class a combinational GateKind lowers to (kAnd for sources,
-/// which never lower). BUF classes with the AND lane it is materialized
-/// into; inverting kinds class with their base op. Work-counter tallies
+/// which never lower). BUF classes with the AND lane it lowers to;
+/// inverting kinds class with their base op. Work-counter tallies
 /// bucket per-kind evaluations with this, in both engines.
 inline CompiledOp op_class(GateKind k) {
   switch (k) {
@@ -84,24 +78,16 @@ struct CompiledNetlist {
 
   // --- node program (SoA, level-major, grouped into `runs`) ---------------
   std::vector<std::uint32_t> node_gate;  // output value slot (original id)
-  std::vector<std::uint32_t> node_in0;   // fold-rooted fanin value slots
+  std::vector<std::uint32_t> node_in0;   // fanin value slots
   std::vector<std::uint32_t> node_in1;
   std::vector<std::uint32_t> node_in2;   // zero_slot unless op == kMux
   std::vector<CompiledRun> runs;  // execution order
   /// Runs of level L are runs[level_run_begin[L] .. level_run_begin[L+1]).
   std::vector<std::uint32_t> level_run_begin;
 
-  // --- gate <-> program maps ----------------------------------------------
-  std::vector<std::uint32_t> node_of_gate;  // kNoNode for folded/non-comb
-  /// BUF-chain fold root per gate (identity for every unfolded gate).
-  std::vector<GateId> fold_root;
-  /// Folded BUFs, materialized after the run sweep: v[dst] = v[src].
-  std::vector<std::uint32_t> copy_dst;
-  std::vector<std::uint32_t> copy_src;
-
   // --- flip-flops (Levelization::dffs order) ------------------------------
   std::vector<GateId> dff_gate;
-  std::vector<std::uint32_t> dff_d;  // fold root of the D driver
+  std::vector<std::uint32_t> dff_d;  // value slot of the D driver
 
   std::size_t num_nodes() const { return node_gate.size(); }
 };
@@ -143,27 +129,10 @@ inline void eval_run(const CompiledNetlist& cn, const CompiledRun& r, W* v) {
   }
 }
 
-/// Materializes the folded BUF chains: v[dst] = v[src] (chain root).
-/// Run after the last run of a sweep, before anything external reads v.
-template <class W>
-inline void apply_copies(const CompiledNetlist& cn, W* v) {
-  const std::uint32_t* const dst = cn.copy_dst.data();
-  const std::uint32_t* const src = cn.copy_src.data();
-  const std::size_t n = cn.copy_dst.size();
-  for (std::size_t i = 0; i < n; ++i) v[dst[i]] = v[src[i]];
-}
-
 /// Lowers the netlist; throws NetlistError on combinational cycles
 /// (via levelize). The result is immutable and shared: campaigns build
 /// it once and every worker (thread or COW-forked --isolate process)
 /// reuses it, exactly like the recorded good trace.
 std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist);
-
-/// BUF-chain fold roots alone (identity for non-BUF gates), without the
-/// cost of a full compile — lint uses this to report compile-time-folded
-/// gates by their original ids. A dangling BUF (invalid in0) is its own
-/// root. Unlike compile(), PO-bit BUFs fold too: this describes chain
-/// structure, not the materialization policy.
-std::vector<GateId> fold_roots(const Netlist& netlist);
 
 }  // namespace sbst::nl

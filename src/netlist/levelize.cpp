@@ -34,7 +34,7 @@ Levelization levelize(const Netlist& nl) {
     std::uint32_t deps = 0;
     for (int pin = 0; pin < arity; ++pin) {
       const GateId d = gate.in[static_cast<std::size_t>(pin)];
-      if (!is_source(nl.gate(d).kind)) {
+      if (d < n && !is_source(nl.gate(d).kind)) {
         ++deps;
         fanout[d].push_back(g);
       }
@@ -52,7 +52,7 @@ Levelization levelize(const Netlist& nl) {
     const int arity = fanin_count(gate.kind);
     for (int pin = 0; pin < arity; ++pin) {
       const GateId d = gate.in[static_cast<std::size_t>(pin)];
-      max_in = std::max(max_in, lv.level[d]);
+      if (d < n) max_in = std::max(max_in, lv.level[d]);
     }
     lv.level[g] = max_in + 1;
     lv.max_level = std::max(lv.max_level, lv.level[g]);
@@ -72,8 +72,9 @@ Levelization levelize(const Netlist& nl) {
   // CSR fanout over every driver->consumer edge, DFF D-pins included
   // (the comb-only `fanout` above is a levelization scratch structure;
   // this one is the published forward-scheduling index). Dangling pins
-  // are skipped so partially built netlists can still be levelized by
-  // callers that tolerate them elsewhere.
+  // are skipped here as above, so partially built netlists can still be
+  // levelized by callers that tolerate them elsewhere (the compiled
+  // program reads them as constant 0).
   lv.fanout_offset.assign(n + 1, 0);
   for (GateId g = 0; g < n; ++g) {
     const Gate& gate = nl.gate(g);
@@ -130,32 +131,6 @@ std::vector<std::uint8_t> live_mask(const Netlist& nl) {
     if (k == GateKind::kInput || k == GateKind::kConst0 ||
         k == GateKind::kConst1) {
       live[g] = 1;
-    }
-  }
-  return live;
-}
-
-std::vector<std::uint8_t> live_mask(const Netlist& nl,
-                                    const std::vector<GateId>& fold_root) {
-  std::vector<std::uint8_t> live = live_mask(nl);
-  const std::size_t n = nl.size();
-  if (fold_root.size() != n) return live;
-  // Alias liveness = root liveness, in both directions: a live BUF keeps
-  // its root live (the chain still forwards an observable value), and a
-  // BUF whose root is live is not dead logic — the compiler folded it,
-  // the synthesizer would not sweep it.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (GateId g = 0; g < n; ++g) {
-      const GateId r = fold_root[g];
-      if (r >= n || r == g) continue;
-      const std::uint8_t merged = live[g] | live[r];
-      if (merged != live[g] || merged != live[r]) {
-        live[g] = merged;
-        live[r] = merged;
-        changed = true;
-      }
     }
   }
   return live;

@@ -48,12 +48,4 @@ Levelization levelize(const Netlist& nl);
 /// and from the fault universe. INPUT/CONST gates are always live.
 std::vector<std::uint8_t> live_mask(const Netlist& nl);
 
-/// Fold-aware variant: `fold_root` maps each gate to its BUF-chain root
-/// (see nl::fold_roots). Every alias inherits its root's liveness and
-/// vice versa, so a BUF the compiler folds away is reported live iff the
-/// value it forwards is — lint uses this to keep dead-logic findings
-/// expressed in original gate ids rather than compiled slots.
-std::vector<std::uint8_t> live_mask(const Netlist& nl,
-                                    const std::vector<GateId>& fold_root);
-
 }  // namespace sbst::nl

@@ -4,7 +4,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "netlist/compiled.h"
 #include "netlist/levelize.h"
 
 namespace sbst::nl {
@@ -205,50 +204,19 @@ class Linter {
   }
 
   void check_dead_logic(const std::vector<std::uint8_t>& live) {
-    // Alias-aware pass: a BUF chain hanging off a live net is dead in
-    // the plain mask but its fold root is live, so the compiled kernel
-    // folds it to a zero-cost alias (nl::fold_roots) rather than
-    // evaluating dead logic. Partition the findings so the report
-    // distinguishes "dead gates the sweep kernel would still pay for"
-    // from "aliases the compiled program has already erased". Gate ids
-    // in both findings are original netlist ids — the compiled form
-    // never renumbers.
-    const std::vector<GateId> roots = fold_roots(nl_);
-    const std::vector<std::uint8_t> live_folded = live_mask(nl_, roots);
-    std::vector<GateId> dead, folded;
+    std::vector<GateId> dead;
     for (GateId g = 0; g < nl_.size(); ++g) {
-      if (live[g] || is_structural(nl_.gate(g).kind)) continue;
-      if (roots[g] != g && live_folded[g]) {
-        folded.push_back(g);
-      } else {
-        dead.push_back(g);
-      }
+      if (!live[g] && !is_structural(nl_.gate(g).kind)) dead.push_back(g);
     }
-    if (!dead.empty()) {
-      std::vector<GateId> sample(
-          dead.begin(), dead.begin() + static_cast<std::ptrdiff_t>(std::min(
-                                           dead.size(), kMaxSampleGates)));
-      add(LintCheck::kDeadLogic, LintSeverity::kInfo,
-          std::to_string(dead.size()) +
-              " gate(s) outside the primary-output cone (swept from gate "
-              "counts and the fault universe)",
-          std::move(sample));
-    }
-    if (!folded.empty()) {
-      std::vector<GateId> sample(
-          folded.begin(),
-          folded.begin() + static_cast<std::ptrdiff_t>(std::min(
-                               folded.size(), kMaxSampleGates)));
-      std::string msg =
-          std::to_string(folded.size()) +
-          " dead BUF alias(es) of live nets — folded to zero cost by the "
-          "compiled kernel, e.g.";
-      for (GateId g : sample) {
-        msg += " " + gate_ref(nl_, g) + "->" + std::to_string(roots[g]);
-      }
-      add(LintCheck::kFoldedDeadAlias, LintSeverity::kInfo, std::move(msg),
-          std::move(sample));
-    }
+    if (dead.empty()) return;
+    std::vector<GateId> sample(
+        dead.begin(), dead.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                         dead.size(), kMaxSampleGates)));
+    add(LintCheck::kDeadLogic, LintSeverity::kInfo,
+        std::to_string(dead.size()) +
+            " gate(s) outside the primary-output cone (swept from gate "
+            "counts and the fault universe)",
+        std::move(sample));
   }
 
   void check_fault_observability(const std::vector<std::uint8_t>& live,
@@ -341,7 +309,6 @@ std::string_view lint_check_name(LintCheck check) {
     case LintCheck::kEmptyComponent:    return "empty-component";
     case LintCheck::kUntaggedGate:      return "untagged-gate";
     case LintCheck::kDeadLogic:         return "dead-logic";
-    case LintCheck::kFoldedDeadAlias:   return "folded-alias";
   }
   return "?";
 }

@@ -14,11 +14,8 @@
 //   warnings — declared components containing zero gates (tag holes)
 //              and live logic gates left untagged;
 //   infos    — logic outside the primary-output cone (swept from gate
-//              counts and the fault universe, see nl::live_mask), split
-//              into genuinely dead logic and BUF aliases of live nets
-//              that the compiled kernel folds away outright (see
-//              nl::fold_roots and the alias-aware live_mask overload);
-//              both kinds of finding reference original gate ids.
+//              counts and the fault universe, see nl::live_mask),
+//              dead BUF chains included, by original gate id.
 //
 // A report is `clean()` when it carries no errors and no warnings; infos
 // never make a design dirty. lint_or_throw() adapts the pass back to the
@@ -47,10 +44,6 @@ enum class LintCheck : std::uint8_t {
   kEmptyComponent,     // declared component that tags zero gates
   kUntaggedGate,       // live logic gate without a component tag
   kDeadLogic,          // gates outside the PO cone (informational)
-  kFoldedDeadAlias,    // dead BUF alias of a live net: the compiled
-                       // kernel folds it away entirely (nl::fold_roots),
-                       // so it costs nothing even as dead logic. Gate
-                       // ids reference the original netlist.
 };
 
 std::string_view lint_check_name(LintCheck check);

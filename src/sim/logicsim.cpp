@@ -48,24 +48,24 @@ void LogicSim::set_input_word(nl::GateId g, Word w) { val_[g] = w; }
 void LogicSim::eval() {
   Word* const v = val_.data();
   for (const nl::CompiledRun& r : cn_->runs) nl::eval_run(*cn_, r, v);
-  nl::apply_copies(*cn_, v);
 }
 
 void LogicSim::eval_reference() {
   const nl::Netlist& netlist = *nl_;
   Word* const v = val_.data();
+  const auto rd = [v](nl::GateId d) -> Word {
+    return d == nl::kNoGate ? 0 : v[d];
+  };
   for (nl::GateId g : cn_->lv.comb_order) {
     const nl::Gate& gate = netlist.gate(g);
-    v[g] = eval_gate(gate.kind, v[gate.in[0]],
-                     gate.in[1] == nl::kNoGate ? 0 : v[gate.in[1]],
-                     gate.in[2] == nl::kNoGate ? 0 : v[gate.in[2]]);
+    v[g] = eval_gate(gate.kind, rd(gate.in[0]), rd(gate.in[1]),
+                     rd(gate.in[2]));
   }
 }
 
 void LogicSim::step_clock() {
   // Two-phase: sample all D inputs, then update, so DFF->DFF paths see
-  // pre-edge values. D is read through the compiled fold root — the
-  // same value as the original driver since copies ran in eval().
+  // pre-edge values.
   thread_local std::vector<Word> next;
   const std::size_t num_dffs = cn_->dff_gate.size();
   next.resize(num_dffs);

@@ -8,10 +8,10 @@
 // Netlist::check + the DSL, see DESIGN.md).
 //
 // Evaluation runs the compiled SoA program (nl::CompiledNetlist):
-// branch-free per-(level, op) runs with folded inversions and BUF
-// chains. eval_reference() keeps the original per-gate interpreted
-// sweep for differential testing; both produce bit-identical values on
-// every net, folded BUFs included.
+// branch-free per-(level, op) runs with folded inversions, one node per
+// combinational gate. eval_reference() keeps the original per-gate
+// interpreted sweep for differential testing; both produce
+// bit-identical values on every net.
 #pragma once
 
 #include <cstdint>

@@ -3,10 +3,10 @@
 // produces equals a lone GroupSimulator::simulate(g) of that group, field
 // by field, at every thread count. Covered: lanes that finish early while
 // their partner runs on, a trailing lone group (odd group counts), pairs
-// split by a group seeded from a journal, the interpreted fallback
-// forced by a fault on a folded BUF, an environment halt that stops both
-// lanes, a group_timeout_ms cut, and the per-group time charged to each
-// half of a pair.
+// split by a group seeded from a journal, stem and branch faults on
+// BUFs (checked against mutant netlists under both engines), an
+// environment halt that stops both lanes, a group_timeout_ms cut, and
+// the per-group time charged to each half of a pair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,10 +23,10 @@
 #include "campaign/journal.h"
 #include "fault/faultsim.h"
 #include "fault/good_trace.h"
-#include "netlist/compiled.h"
 #include "netlist/fault.h"
 #include "parwan/sbst.h"
 #include "parwan/testbench.h"
+#include "sim/logicsim.h"
 
 namespace sbst::fault {
 namespace {
@@ -223,37 +223,99 @@ TEST(FaultSimParallel, PairedSweepMatchesLoneGroupsOnParwanFullList) {
   }
 }
 
-// A fault on a folded BUF has no compiled node, so its group — and with
-// it the partner sharing the word — runs the interpreted sweep, while
-// the lone reference runs the partner compiled.
-TEST(FaultSimParallel, PairedSweepBufFaultForcesInterpretedPair) {
-  const nl::Netlist n = make_random_seq_netlist(7);
-  const auto compiled = nl::compile(n);
-  nl::GateId buf = nl::kNoGate;
-  for (nl::GateId g = 0; g < n.size() && buf == nl::kNoGate; ++g) {
-    if (n.gate(g).kind == nl::GateKind::kBuf &&
-        compiled->node_of_gate[g] == nl::kNoNode) {
-      buf = g;
+/// First cycle at which `mutant` (a physically faulted copy of `good`)
+/// shows different primary outputs, or -1, simulated with plain logic
+/// simulators under the fault simulator's cycle protocol: drive, eval,
+/// compare, observe (on the good machine), clock.
+std::int64_t mutant_detect_cycle(const nl::Netlist& good,
+                                 const nl::Netlist& mutant,
+                                 const EnvFactory& env,
+                                 std::uint64_t max_cycles) {
+  sim::LogicSim gs(good);
+  sim::LogicSim ms(mutant);
+  const std::unique_ptr<Environment> ge = env();
+  const std::unique_ptr<Environment> me = env();
+  for (std::uint64_t cycle = 0; cycle < max_cycles; ++cycle) {
+    ge->drive(gs, cycle);
+    me->drive(ms, cycle);
+    gs.eval();
+    ms.eval();
+    for (const nl::Port& port : good.outputs()) {
+      if (gs.read_output(port) != ms.read_output(port)) {
+        return static_cast<std::int64_t>(cycle);
+      }
+    }
+    const bool keep_going = ge->observe(gs, cycle);
+    gs.step_clock();
+    ms.step_clock();
+    if (!keep_going) break;
+  }
+  return -1;
+}
+
+// Every BUF keeps a compiled node, so stem and branch faults on BUFs run
+// the compiled sweep with fixups at BUF levels. Each verdict, under both
+// engines, must match a mutant netlist whose BUF reads the stuck
+// constant (for a one-input gate, stem and branch faults are the same
+// mutant), and the paired sweep must still give lone-run records.
+TEST(FaultSimParallel, BufFaultsMatchMutantNetlists) {
+  std::size_t checked = 0;
+  std::size_t detected = 0;
+  for (std::uint64_t seed : {3u, 7u, 11u, 19u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const nl::Netlist n = make_random_seq_netlist(seed);
+    std::vector<nl::Fault> buf_faults;
+    for (nl::GateId g = 0; g < n.size(); ++g) {
+      if (n.gate(g).kind != nl::GateKind::kBuf) continue;
+      buf_faults.insert(buf_faults.end(),
+                        {{g, 0, 0}, {g, 0, 1}, {g, 1, 0}, {g, 1, 1}});
+    }
+    ASSERT_FALSE(buf_faults.empty());
+    // Spliced in at 40, the BUF faults span both lanes of the first pair.
+    constexpr std::size_t kAt = 40;
+    nl::FaultList fl = nl::enumerate_faults(n);
+    ASSERT_GT(fl.size(), kAt);
+    fl.faults.insert(fl.faults.begin() + kAt, buf_faults.begin(),
+                     buf_faults.end());
+    fl.class_size.insert(fl.class_size.begin() + kAt, buf_faults.size(), 1);
+    fl.total_uncollapsed += buf_faults.size();
+
+    FaultSimOptions opt;
+    opt.max_cycles = 400;
+    opt.threads = 2;
+    const EnvFactory env = hash_env(300);
+    for (Engine engine : {Engine::kSweep, Engine::kEvent}) {
+      SCOPED_TRACE(engine == Engine::kSweep ? "sweep" : "event");
+      opt.engine = engine;
+      const FaultSimResult res = run_fault_sim(n, fl, env, opt);
+      if (engine == Engine::kEvent) {
+        EXPECT_GT(res.trace_bytes, 0u);
+        EXPECT_FALSE(res.trace_fallback);
+      }
+      for (std::size_t i = 0; i < buf_faults.size(); ++i) {
+        const nl::Fault& f = buf_faults[i];
+        nl::Netlist mutant = n;
+        mutant.set_gate_input(f.gate, 0,
+                              f.stuck ? mutant.const1() : mutant.const0());
+        EXPECT_EQ(res.detect_cycle[kAt + i],
+                  mutant_detect_cycle(n, mutant, env, opt.max_cycles))
+            << "BUF " << f.gate << " pin " << int{f.pin} << " stuck-at "
+            << int{f.stuck};
+        ++checked;
+        detected += res.detected[kAt + i];
+      }
+    }
+
+    const std::vector<GroupRecord> lone = lone_records(n, fl, env, opt);
+    for (unsigned threads : {1u, 3u}) {
+      opt.threads = threads;
+      expect_same_records(lone, paired_records(n, fl, env, opt),
+                          "buf faults, " + std::to_string(threads) +
+                              " threads");
     }
   }
-  ASSERT_NE(buf, nl::kNoGate) << "no folded BUF in the netlist";
-  nl::FaultList fl = nl::enumerate_faults(n);
-  ASSERT_GT(fl.size(), 63u * 2);
-  // Two faults on the BUF land in group 1, the partner of group 0.
-  const std::vector<nl::Fault> extra = {{buf, 0, 1}, {buf, 1, 0}};
-  fl.faults.insert(fl.faults.begin() + 70, extra.begin(), extra.end());
-  fl.class_size.insert(fl.class_size.begin() + 70, extra.size(), 1);
-  fl.total_uncollapsed += extra.size();
-
-  FaultSimOptions opt;
-  opt.max_cycles = 400;
-  const EnvFactory env = hash_env(300);
-  const std::vector<GroupRecord> lone = lone_records(n, fl, env, opt);
-  for (unsigned threads : {1u, 3u}) {
-    opt.threads = threads;
-    expect_same_records(lone, paired_records(n, fl, env, opt),
-                        "buf fault, " + std::to_string(threads) + " threads");
-  }
+  EXPECT_GT(detected, 0u);
+  EXPECT_LT(detected, checked) << "no undetected BUF fault was checked";
 }
 
 // The environment halts at cycle 12, long before the groups finish: both

@@ -5,19 +5,25 @@
 // run on the compiled program. The heavy hammer here is a 10k-netlist random fuzz
 // (same splitmix64 idiom as the co-sim fuzzer) over all gate kinds,
 // BUF chains, constants, MUXes and flip-flops, run for several clock
-// cycles per netlist. Alongside it: unit tests for the folding rules
-// (BUF chains, PO-bit materialization, constant aliases) and for the
-// alias-aware live_mask overload that feeds nl::lint.
+// cycles per netlist. Alongside it: unit tests for the lowering rules
+// (one node per combinational gate, BUF as AND(a, a), constants as
+// plain slots, dangling pins reading 0) and for the node program's
+// per-op tallies on random and shipped netlists.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "fault/faultsim.h"
 #include "netlist/compiled.h"
-#include "netlist/levelize.h"
-#include "netlist/lint.h"
+#include "netlist/fault.h"
 #include "netlist/netlist.h"
+#include "parwan/cpu.h"
+#include "plasma/cpu.h"
 #include "sim/logicsim.h"
 
 namespace sbst::nl {
@@ -31,8 +37,8 @@ std::uint64_t splitmix64(std::uint64_t& s) {
 }
 
 /// A random netlist drawing from every combinational kind plus DFFs and
-/// constants, with BUF chains over-represented so the fold pass always
-/// has work. Acyclic by construction (fanins only reference earlier
+/// constants, with BUF chains over-represented so the AND(a, a) lowering
+/// always has work. Acyclic by construction (fanins only reference earlier
 /// nets; DFF feedback is rewired afterwards through registered state).
 Netlist random_netlist(std::uint64_t seed) {
   std::uint64_t s = seed;
@@ -73,8 +79,7 @@ Netlist random_netlist(std::uint64_t seed) {
   for (std::size_t i = 0; i < dffs.size(); i += 2) {
     n.set_gate_input(dffs[i], 0, nets[nets.size() - 1 - (i % 5)]);
   }
-  // Outputs: a spread of nets, deliberately including folded-BUF
-  // candidates so PO materialization is exercised.
+  // Outputs: a spread of nets, BUFs and BUF-fed gates among them.
   std::vector<GateId> outs;
   for (std::size_t i = 0; i < nets.size(); i += 1 + splitmix64(s) % 4) {
     outs.push_back(nets[i]);
@@ -83,6 +88,37 @@ Netlist random_netlist(std::uint64_t seed) {
   n.add_output("o", outs);
   return n;
 }
+
+/// Index of gate g's node in the program; throws (failing the test) if
+/// it has none.
+std::uint32_t node_of(const CompiledNetlist& cn, GateId g) {
+  const auto it = std::find(cn.node_gate.begin(), cn.node_gate.end(), g);
+  if (it == cn.node_gate.end()) {
+    throw std::runtime_error("gate " + std::to_string(g) + " has no node");
+  }
+  return static_cast<std::uint32_t>(it - cn.node_gate.begin());
+}
+
+/// The run containing node `node`; throws if none does.
+const CompiledRun& run_of(const CompiledNetlist& cn, std::uint32_t node) {
+  const auto it = std::find_if(
+      cn.runs.begin(), cn.runs.end(), [node](const CompiledRun& r) {
+        return r.begin <= node && node < r.end;
+      });
+  if (it == cn.runs.end()) {
+    throw std::runtime_error("node " + std::to_string(node) + " in no run");
+  }
+  return *it;
+}
+
+/// Drives nothing (inputs stay 0) and stops after four cycles.
+class IdleEnv final : public fault::Environment {
+ public:
+  void drive(sim::PortIo&, std::uint64_t) override {}
+  bool observe(const sim::PortIo&, std::uint64_t cycle) override {
+    return cycle + 1 < 4;
+  }
+};
 
 TEST(CompiledNetlist, FuzzTenThousandRandomNetlistsMatchReference) {
   for (std::uint64_t seed = 1; seed <= 10'000; ++seed) {
@@ -105,7 +141,7 @@ TEST(CompiledNetlist, FuzzTenThousandRandomNetlistsMatchReference) {
   }
 }
 
-TEST(CompiledNetlist, BufChainsFoldToRootAndCopyOut) {
+TEST(CompiledNetlist, BufChainsKeepOneNodePerBuf) {
   Netlist n;
   const Port in = n.add_input("in", 2);
   const GateId root = n.add_gate(GateKind::kAnd2, in.bits[0], in.bits[1]);
@@ -114,22 +150,27 @@ TEST(CompiledNetlist, BufChainsFoldToRootAndCopyOut) {
   const GateId user = n.add_gate(GateKind::kXor2, b2, in.bits[0]);
   n.add_output("o", {user});
 
+  // Each BUF is an AND(a, a) node of its own reading its direct driver.
   const auto cn = compile(n);
-  // Both BUFs fold: no compiled node, fold root is the AND, and each
-  // appears as a post-sweep copy so external readers still see the net.
-  EXPECT_EQ(cn->node_of_gate[b1], kNoNode);
-  EXPECT_EQ(cn->node_of_gate[b2], kNoNode);
-  EXPECT_EQ(cn->fold_root[b1], root);
-  EXPECT_EQ(cn->fold_root[b2], root);
-  EXPECT_EQ(cn->copy_dst.size(), 2u);
-  EXPECT_EQ(cn->num_nodes(), 2u);  // AND + XOR only
+  EXPECT_EQ(cn->num_nodes(), 4u);
+  const std::uint32_t n1 = node_of(*cn, b1);
+  const std::uint32_t n2 = node_of(*cn, b2);
+  EXPECT_EQ(cn->node_in0[n1], root);
+  EXPECT_EQ(cn->node_in1[n1], root);
+  EXPECT_EQ(cn->node_in0[n2], b1);
+  EXPECT_EQ(cn->node_in1[n2], b1);
+  EXPECT_EQ(run_of(*cn, n1).op, CompiledOp::kAnd);
+  EXPECT_FALSE(run_of(*cn, n1).invert);
+  EXPECT_EQ(cn->node_in0[node_of(*cn, user)], b2);
 
   sim::LogicSim sim(n);
-  sim.set_input(n.input("in"), 3);
-  sim.eval();
-  EXPECT_EQ(sim.word(b1), sim.word(root));
-  EXPECT_EQ(sim.word(b2), sim.word(root));
-  EXPECT_EQ(sim.word(user), sim.word(root) ^ sim.word(in.bits[0]));
+  for (std::uint64_t x = 0; x < 4; ++x) {
+    sim.set_input(n.input("in"), x);
+    sim.eval();
+    EXPECT_EQ(sim.word(b1), sim.word(root));
+    EXPECT_EQ(sim.word(b2), sim.word(root));
+    EXPECT_EQ(sim.word(user), sim.word(root) ^ sim.word(in.bits[0]));
+  }
 }
 
 TEST(CompiledNetlist, PrimaryOutputBufIsMaterializedNotFolded) {
@@ -139,20 +180,13 @@ TEST(CompiledNetlist, PrimaryOutputBufIsMaterializedNotFolded) {
   const GateId po_buf = n.add_gate(GateKind::kBuf, root);
   n.add_output("o", {po_buf});
 
+  // A PO-bit BUF is lowered like any other BUF: AND(a, a), no inversion.
   const auto cn = compile(n);
-  // A PO-bit BUF keeps a real node of its own, lowered to AND(a, a)
-  // without inversion.
-  ASSERT_NE(cn->node_of_gate[po_buf], kNoNode);
-  const std::uint32_t node = cn->node_of_gate[po_buf];
+  const std::uint32_t node = node_of(*cn, po_buf);
   EXPECT_EQ(cn->node_in0[node], root);
   EXPECT_EQ(cn->node_in1[node], root);
-  const auto run = std::find_if(
-      cn->runs.begin(), cn->runs.end(), [node](const CompiledRun& r) {
-        return r.begin <= node && node < r.end;
-      });
-  ASSERT_NE(run, cn->runs.end());
-  EXPECT_EQ(run->op, CompiledOp::kAnd);
-  EXPECT_FALSE(run->invert);
+  EXPECT_EQ(run_of(*cn, node).op, CompiledOp::kAnd);
+  EXPECT_FALSE(run_of(*cn, node).invert);
 
   sim::LogicSim sim(n);
   sim.set_input(n.input("in"), 2);
@@ -171,8 +205,8 @@ TEST(CompiledNetlist, ConstantsAliasButNeverPropagate) {
   // output stem carries injectable faults), the constant stays a plain
   // value slot.
   const auto cn = compile(n);
-  EXPECT_NE(cn->node_of_gate[anded], kNoNode);
-  EXPECT_EQ(cn->fold_root[c1], c1);
+  EXPECT_EQ(cn->node_in1[node_of(*cn, anded)], c1);
+  EXPECT_EQ(std::count(cn->node_gate.begin(), cn->node_gate.end(), c1), 0);
 
   sim::LogicSim sim(n);
   sim.set_input(n.input("in"), 1);
@@ -180,12 +214,37 @@ TEST(CompiledNetlist, ConstantsAliasButNeverPropagate) {
   EXPECT_EQ(sim.word(anded), sim::kAllOnes);
 }
 
-TEST(CompiledNetlist, FoldRootsDanglingBufIsItsOwnRoot) {
+// A BUF whose input was never connected reads the always-zero slot:
+// under the compiled program, under the interpreted reference and in
+// the fault sweep, where stuck-at-1 on it is detected at once and
+// stuck-at-0 never.
+TEST(CompiledNetlist, DanglingBufReadsZero) {
   Netlist n;
-  n.add_input("in", 1);
+  const Port in = n.add_input("in", 1);
   const GateId dangling = n.add_gate(GateKind::kBuf);  // in0 = kNoGate
-  const std::vector<GateId> roots = fold_roots(n);
-  EXPECT_EQ(roots[dangling], dangling);
+  n.add_output("o", {dangling, in.bits[0]});
+  const auto cn = compile(n);
+  EXPECT_EQ(cn->node_in0[node_of(*cn, dangling)], cn->zero_slot);
+
+  sim::LogicSim sim(n);
+  sim.set_input(n.input("in"), 1);
+  sim.eval();
+  EXPECT_EQ(sim.word(dangling), 0u);
+  sim.eval_reference();
+  EXPECT_EQ(sim.word(dangling), 0u);
+
+  FaultList fl;
+  fl.faults = {{dangling, 0, 0}, {dangling, 0, 1}};
+  fl.class_size = {1, 1};
+  fl.total_uncollapsed = 2;
+  fault::FaultSimOptions opt;
+  opt.engine = fault::Engine::kSweep;
+  opt.max_cycles = 4;
+  opt.threads = 1;
+  const fault::FaultSimResult res = fault::run_fault_sim(
+      n, fl, [] { return std::make_unique<IdleEnv>(); }, opt);
+  EXPECT_EQ(res.detect_cycle[0], -1);
+  EXPECT_EQ(res.detect_cycle[1], 0);
 }
 
 TEST(CompiledNetlist, ZeroSlotStaysZeroAcrossEvaluation) {
@@ -197,61 +256,13 @@ TEST(CompiledNetlist, ZeroSlotStaysZeroAcrossEvaluation) {
   EXPECT_EQ(sim.values()[sim.compiled().zero_slot], 0u);
 }
 
-TEST(CompiledNetlist, AliasAwareLiveMaskRevivesFoldedAliases) {
-  Netlist n;
-  const Port in = n.add_input("in", 2);
-  const GateId live_root = n.add_gate(GateKind::kAnd2, in.bits[0], in.bits[1]);
-  // Dead BUF chain hanging off a live net: plain-dead, alias-live.
-  const GateId alias1 = n.add_gate(GateKind::kBuf, live_root);
-  const GateId alias2 = n.add_gate(GateKind::kBuf, alias1);
-  // Genuinely dead logic: no path to any output, not an alias.
-  const GateId dead = n.add_gate(GateKind::kXor2, in.bits[0], in.bits[1]);
-  n.add_output("o", {live_root});
-
-  const std::vector<std::uint8_t> plain = live_mask(n);
-  EXPECT_TRUE(plain[live_root]);
-  EXPECT_FALSE(plain[alias1]);
-  EXPECT_FALSE(plain[alias2]);
-  EXPECT_FALSE(plain[dead]);
-
-  const std::vector<std::uint8_t> folded = live_mask(n, fold_roots(n));
-  EXPECT_TRUE(folded[live_root]);
-  EXPECT_TRUE(folded[alias1]) << "alias of a live root must be alias-live";
-  EXPECT_TRUE(folded[alias2]);
-  EXPECT_FALSE(folded[dead]) << "real dead logic stays dead";
-}
-
-TEST(CompiledNetlist, LintSplitsDeadLogicFromFoldedAliases) {
-  Netlist n;
-  const Port in = n.add_input("in", 2);
-  const GateId live_root = n.add_gate(GateKind::kAnd2, in.bits[0], in.bits[1]);
-  const GateId alias = n.add_gate(GateKind::kBuf, live_root);
-  const GateId dead = n.add_gate(GateKind::kXor2, in.bits[0], in.bits[1]);
-  n.add_output("o", {live_root});
-
-  const LintReport rep = lint(n);
-  const LintFinding* alias_finding = nullptr;
-  const LintFinding* dead_finding = nullptr;
-  for (const LintFinding& f : rep.findings) {
-    if (f.check == LintCheck::kFoldedDeadAlias) alias_finding = &f;
-    if (f.check == LintCheck::kDeadLogic) dead_finding = &f;
-  }
-  ASSERT_NE(alias_finding, nullptr);
-  ASSERT_NE(dead_finding, nullptr);
-  EXPECT_EQ(alias_finding->severity, LintSeverity::kInfo);
-  ASSERT_EQ(alias_finding->gates.size(), 1u);
-  EXPECT_EQ(alias_finding->gates[0], alias)
-      << "finding must reference the original gate id";
-  ASSERT_EQ(dead_finding->gates.size(), 1u);
-  EXPECT_EQ(dead_finding->gates[0], dead);
-  EXPECT_EQ(lint_check_name(LintCheck::kFoldedDeadAlias), "folded-alias");
-}
-
-TEST(CompiledNetlist, PerKindNodeTalliesSumToNodeCount) {
-  const Netlist n = random_netlist(7);
+// One node per combinational gate: the runs partition the node array in
+// execution order, the node count is the comb-order length, and the
+// per-op run tallies equal the op_class tallies of the original gates.
+// This is what makes the sweep's work counters exact node counts.
+void expect_one_node_per_comb_gate(const Netlist& n) {
   const auto cn = compile(n);
-  // The runs partition the node array in execution order, so their
-  // per-op node tallies sum to the node count.
+  ASSERT_EQ(cn->num_nodes(), cn->lv.comb_order.size());
   std::uint64_t by_op[kNumCompiledOps] = {0, 0, 0, 0};
   std::uint32_t next = 0;
   for (const CompiledRun& r : cn->runs) {
@@ -260,7 +271,23 @@ TEST(CompiledNetlist, PerKindNodeTalliesSumToNodeCount) {
     by_op[static_cast<std::size_t>(r.op)] += r.end - r.begin;
     next = r.end;
   }
-  EXPECT_EQ(by_op[0] + by_op[1] + by_op[2] + by_op[3], cn->num_nodes());
+  EXPECT_EQ(next, cn->num_nodes());
+  std::uint64_t by_class[kNumCompiledOps] = {0, 0, 0, 0};
+  for (GateId g : cn->lv.comb_order) {
+    ++by_class[static_cast<std::size_t>(op_class(n.gate(g).kind))];
+  }
+  for (int op = 0; op < kNumCompiledOps; ++op) {
+    EXPECT_EQ(by_op[op], by_class[op]) << "op " << op;
+  }
+}
+
+TEST(CompiledNetlist, PerKindNodeTalliesSumToNodeCount) {
+  for (std::uint64_t seed : {7u, 42u, 1234u}) {
+    SCOPED_TRACE(seed);
+    expect_one_node_per_comb_gate(random_netlist(seed));
+  }
+  expect_one_node_per_comb_gate(plasma::build_plasma_cpu().netlist);
+  expect_one_node_per_comb_gate(parwan::build_parwan_cpu().netlist);
 }
 
 }  // namespace

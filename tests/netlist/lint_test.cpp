@@ -100,6 +100,24 @@ TEST(Lint, DeadLogicIsInfoOnly) {
             LintSeverity::kInfo);
 }
 
+// A BUF chain hanging off a live net but driving nothing is dead logic
+// like any other gate (the compiled kernel evaluates it), reported by
+// original gate id.
+TEST(Lint, DeadBufChainIsDeadLogic) {
+  Netlist n;
+  const Port in = n.add_input("in", 2);
+  const GateId live = n.add_gate(GateKind::kAnd2, in.bits[0], in.bits[1]);
+  const GateId buf1 = n.add_gate(GateKind::kBuf, live);
+  const GateId buf2 = n.add_gate(GateKind::kBuf, buf1);
+  n.add_output("o", {live});
+  const LintReport rep = lint(n);
+  EXPECT_TRUE(rep.clean());
+  ASSERT_EQ(rep.findings.size(), 1u);
+  const LintFinding& f = find_check(rep, LintCheck::kDeadLogic);
+  EXPECT_EQ(f.severity, LintSeverity::kInfo);
+  EXPECT_EQ(f.gates, (std::vector<GateId>{buf1, buf2}));
+}
+
 TEST(Lint, FaultOnDeadGateIsUnobservable) {
   Netlist n;
   const Port in = n.add_input("in", 2);
