@@ -7,8 +7,8 @@
 // not-yet-detected machine has by definition issued the identical memory
 // traffic as the good machine, so the environment (memory model) only
 // needs to be simulated once, from the good machine's outputs — see
-// DESIGN.md §5. The sweep kernel therefore runs two groups per 128-bit
-// word (two such 64-bit lanes) under one environment.
+// DESIGN.md §5. The sweep kernel therefore runs four groups per 256-bit
+// word (four such 64-bit lanes) under one environment.
 #pragma once
 
 #include <array>
@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "netlist/compiled.h"
@@ -26,8 +27,8 @@
 namespace sbst::fault {
 
 /// Closed-loop environment around the netlist (memory model, testbench).
-/// One fresh instance is created per simulation run (a fault group, a
-/// sweep pair of groups, or the recording of the good trace); it must be
+/// One fresh instance is created per simulation run (a fault group, the
+/// groups of one sweep item, or the recording of the good trace); it must be
 /// deterministic. It sees the simulation through sim::PortIo only:
 /// broadcast input drive and good-machine (machine 63) output reads,
 /// which is all a function of the good machine may depend on. With
@@ -274,8 +275,9 @@ struct FaultSimResult {
 /// evaluations actually performed and machine cycles simulated.
 /// `gates_evaluated`, `cycles` and `evals_by_kind` are deterministic
 /// (bit-stable for a fixed netlist/engine); `eval_ns` is run-local wall
-/// clock spent inside simulate() and simulate_pair(), like
-/// GroupMetric::duration_ms (which charges each group of a pair half).
+/// clock spent inside simulate() and simulate_lanes(), like
+/// GroupMetric::duration_ms (which charges each group of a sweep item an
+/// equal share).
 struct KernelStats {
   std::uint64_t gates_evaluated = 0;
   std::uint64_t cycles = 0;
@@ -283,14 +285,18 @@ struct KernelStats {
   std::uint64_t eval_ns = 0;
 };
 
+/// Groups the sweep kernel simulates in one pass: one per 64-bit lane of
+/// its 256-bit word (GroupSimulator::simulate_lanes).
+inline constexpr std::size_t kSweepLanes = 4;
+
 /// Runs sequential fault simulation of `faults` on `netlist` inside the
 /// environment produced by `make_env`. The engine performs fault dropping
 /// (a group stops as soon as all of its faults are detected) and
 /// schedules 63-fault groups across `options.threads` workers, each with
 /// its own simulation and injection state. Under Engine::kSweep (without
-/// a simulate_group hook) a work item is two consecutive groups of the
-/// schedule, swept as one pair (GroupSimulator::simulate_pair); records,
-/// hooks and progress stay per group.
+/// a simulate_group hook) a work item is up to kSweepLanes consecutive
+/// groups of the schedule, swept together (GroupSimulator::simulate_lanes);
+/// records, hooks and progress stay per group.
 FaultSimResult run_fault_sim(const nl::Netlist& netlist,
                              const nl::FaultList& faults,
                              const EnvFactory& make_env,
@@ -316,9 +322,25 @@ class GroupPlan {
   std::size_t num_faults() const { return num_faults_; }
   std::size_t num_groups() const;
   std::uint32_t group_count(std::size_t group) const;
-  /// Active (sampled) fault indices in engine order; group g covers
-  /// active()[g*63 .. g*63+group_count(g)).
-  const std::vector<std::size_t>& active() const { return active_; }
+
+  /// Active (sampled) fault indices in engine order, by position. An
+  /// unsampled plan stores no list: position i is fault i.
+  class ActiveFaults {
+   public:
+    std::size_t operator[](std::size_t i) const {
+      return sampled_ != nullptr ? sampled_[i] : i;
+    }
+
+   private:
+    friend class GroupPlan;
+    explicit ActiveFaults(const std::size_t* sampled) : sampled_(sampled) {}
+    const std::size_t* sampled_;  // null: the identity
+  };
+  /// Group g covers active()[g*63 .. g*63+group_count(g)). The view
+  /// refers into the plan.
+  ActiveFaults active() const {
+    return ActiveFaults(sampled_.empty() ? nullptr : sampled_.data());
+  }
 
   /// A FaultSimResult with all verdict arrays allocated and zeroed.
   FaultSimResult make_result() const;
@@ -336,7 +358,8 @@ class GroupPlan {
 
  private:
   std::size_t num_faults_ = 0;
-  std::vector<std::size_t> active_;
+  std::size_t num_active_ = 0;
+  std::vector<std::size_t> sampled_;  // empty unless sampling applied
 };
 
 class SharedTraceSource;
@@ -375,16 +398,18 @@ class GroupSimulator {
   /// group_timeout_ms and the run deadline; sets timed_out when a bound
   /// cut the group short). Bit-deterministic absent wall-clock cutoffs,
   /// and bit-identical across both kernels. The one-group case of
-  /// simulate_pair: under the sweep the group runs alone in a pair.
+  /// simulate_lanes: under the sweep the group runs alone in lane 0.
   GroupRecord simulate(std::size_t group);
 
-  /// Simulates two distinct groups. The sweep runs them in lock-step,
-  /// one group per 64-bit lane of a 128-bit word, under one environment
-  /// (it follows the good machine, which both lanes share); the event
-  /// kernel runs them one after the other. Each record equals what
-  /// simulate() gives for its group alone, absent wall-clock cutoffs; a
-  /// sweep pair shares one group_timeout_ms bound from its start.
-  std::array<GroupRecord, 2> simulate_pair(std::size_t a, std::size_t b);
+  /// Simulates 1 to kSweepLanes distinct groups (std::invalid_argument
+  /// otherwise), returning their records in order. The sweep runs them
+  /// in lock-step, one group per 64-bit lane of a 256-bit word, under
+  /// one environment (it follows the good machine, which every lane
+  /// shares); the event kernel runs them one after the other. Each
+  /// record equals what simulate() gives for its group alone, absent
+  /// wall-clock cutoffs; a sweep item shares one group_timeout_ms bound
+  /// from its start.
+  std::vector<GroupRecord> simulate_lanes(std::span<const std::size_t> groups);
 
   /// Work performed by this simulator so far, whichever kernel ran.
   KernelStats stats() const;

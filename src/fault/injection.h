@@ -10,8 +10,12 @@
 //
 // The types are templates on the simulation word. The event kernel uses
 // the 64-bit Word aliases below; the sweep instantiates them on its
-// 128-bit two-lane pair, where lane l's faults own machine bits
-// 64*l .. 64*l+62, so each lane's forcing stays its own.
+// 256-bit four-lane word, where lane l's faults own machine bits
+// 64*l .. 64*l+62, so each lane's forcing stays its own. A vector word
+// is only ever handled by reference here and stored at its own size's
+// alignment: the sweep's AVX2 code loads it with aligned 32-byte moves,
+// while outside AVX code GCC gives a 256-bit vector alignof 16 and a
+// different by-value calling convention.
 #pragma once
 
 #include <cstdint>
@@ -26,16 +30,14 @@ namespace sbst::fault::detail {
 
 using sim::Word;
 
-/// The word of type W with only machine bit `bit` set (bit 64*l + i is
-/// bit i of lane l for a vector pair).
+/// Sets machine bit `bit` of `w` (bit 64*l + i is bit i of lane l for a
+/// vector word).
 template <class W>
-inline W machine_mask(int bit) {
+inline void set_machine_bit(W& w, int bit) {
   if constexpr (std::is_same_v<W, Word>) {
-    return Word{1} << bit;
+    w |= Word{1} << bit;
   } else {
-    W m{};
-    m[bit >> 6] = Word{1} << (bit & 63);
-    return m;
+    w[bit >> 6] |= Word{1} << (bit & 63);
   }
 }
 
@@ -45,13 +47,13 @@ struct InjectionT {
   nl::GateId gate;
   std::uint8_t pin;    // 0 = output, 1..3 = input branch
   std::uint8_t stuck;  // forced value
-  W mask;              // single machine bit
+  alignas(sizeof(W)) W mask;  // single machine bit
 };
 
 /// Applies output-style forcing of `stuck` on `mask` bits of `w`.
 template <class W>
-inline W force(W w, W mask, std::uint8_t stuck) {
-  return stuck ? (w | mask) : (w & ~mask);
+inline void force(W& w, const W& mask, std::uint8_t stuck) {
+  w = stuck ? (w | mask) : (w & ~mask);
 }
 
 /// Aggregated forcing masks for every injection on one gate: pin p of a
@@ -61,8 +63,8 @@ inline W force(W w, W mask, std::uint8_t stuck) {
 /// D-pin force and slot 0 the Q-output force.
 template <class W>
 struct GateForceT {
-  W set[4] = {};
-  W clr[4] = {};
+  alignas(sizeof(W)) W set[4] = {};
+  alignas(sizeof(W)) W clr[4] = {};
 };
 
 /// Per-group injection table. Injections on combinational gates and on
@@ -75,7 +77,13 @@ class InjectionTableT {
   using Injection = InjectionT<W>;
   using GateForce = GateForceT<W>;
 
-  explicit InjectionTableT(std::size_t num_gates) : slot_(num_gates, 0) {}
+  /// A byte per gate keeps the table small: the sweep's four 63-fault
+  /// groups force at most 252 gates.
+  static constexpr std::size_t kMaxSlots = 255;
+
+  explicit InjectionTableT(std::size_t num_gates) : slot_(num_gates, 0) {
+    forces_.reserve(kMaxSlots);
+  }
 
   void clear() {
     for (nl::GateId g : touched_) slot_[g] = 0;
@@ -87,7 +95,8 @@ class InjectionTableT {
   }
 
   void add(const nl::Netlist& netlist, const nl::Fault& f, int machine_bit) {
-    const W mask = machine_mask<W>(machine_bit);
+    W mask{};
+    set_machine_bit(mask, machine_bit);
     const nl::GateKind kind = netlist.gate(f.gate).kind;
     const bool is_source = kind == nl::GateKind::kInput ||
                            kind == nl::GateKind::kConst0 ||
@@ -123,7 +132,7 @@ class InjectionTableT {
   const std::vector<nl::GateId>& slotted_gates() const { return touched_; }
 
  private:
-  void add_force(const nl::Fault& f, W mask) {
+  void add_force(const nl::Fault& f, const W& mask) {
     std::uint32_t s = slot_[f.gate];
     if (s == 0) {
       if (forces_.size() == kMaxSlots) {
@@ -142,9 +151,6 @@ class InjectionTableT {
     }
   }
 
-  /// A byte per gate keeps the table small: one table holds at most two
-  /// 63-fault groups (a sweep pair), so at most 126 forced gates.
-  static constexpr std::size_t kMaxSlots = 255;
   std::vector<std::uint8_t> slot_;  // 0 = clean, else index+1 into forces_
   std::vector<nl::GateId> touched_;
   std::vector<GateForce> forces_;

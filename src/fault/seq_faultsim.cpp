@@ -1,11 +1,14 @@
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -25,24 +28,62 @@ namespace {
 
 using sim::Word;
 
-/// The sweep's simulation word: two 64-machine lanes side by side. Lane
+/// The sweep's simulation word: four 64-machine lanes side by side. Lane
 /// l simulates one group, its faulty machines in bits 0..62 and the good
-/// machine in bit 63, so one pass of the netlist advances two groups.
-/// GCC/Clang vector extension; the bitwise operators lower to SSE2.
-using PairWord = std::uint64_t __attribute__((vector_size(16)));
-constexpr int kLanes = 2;
+/// machine in bit 63, so one pass of the netlist advances four groups.
+/// GCC/Clang vector extension: one AVX2 operation per bitwise operator
+/// in the AVX2 clones below, two SSE2 operations in baseline code.
+using SweepWord = std::uint64_t __attribute__((vector_size(32)));
+constexpr int kLanes = static_cast<int>(kSweepLanes);
 constexpr int kLaneBits = 64;
-using PairInjections = detail::InjectionTableT<PairWord>;
-using PairForce = detail::GateForceT<PairWord>;
+static_assert(sizeof(SweepWord) * 8 == kLanes * kLaneBits);
+using SweepInjections = detail::InjectionTableT<SweepWord>;
+using SweepForce = detail::GateForceT<SweepWord>;
 
-/// Per-pair fixup sites for the compiled sweep: the slotted (injected)
-/// combinational gates of both lanes, grouped by level. Rebuilt per pair.
+// The per-cycle entry points of the sweep are compiled twice, for AVX2
+// and for the baseline target, and the loader picks one copy per CPU.
+// Two rules keep the copies compatible with the baseline code around
+// them: every SweepWord they touch lives in 32-byte-aligned storage
+// (outside AVX code GCC gives the type alignof 16, but the AVX2 copy
+// moves it with aligned 32-byte loads), and no function outside them
+// passes or returns a SweepWord by value (the two targets pass it
+// differently). Other targets and compilers without the attribute
+// compile the same source once, and so do GCC ThreadSanitizer builds:
+// TSan instruments GCC's copy-picking resolver, which the loader runs
+// before the sanitizer runtime is initialised.
+#if defined(__x86_64__) && defined(__ELF__) && \
+    __has_attribute(target_clones) && !defined(__SANITIZE_THREAD__)
+#define SBST_SWEEP_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define SBST_SWEEP_CLONES
+#endif
+
+/// Allocates SweepWord arrays 32-byte aligned (see above).
+template <class T>
+struct Align32 {
+  using value_type = T;
+  Align32() = default;
+  template <class U>
+  Align32(const Align32<U>&) {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{32}));
+  }
+  void deallocate(T* p, std::size_t n) {
+    ::operator delete(p, n * sizeof(T), std::align_val_t{32});
+  }
+  friend bool operator==(const Align32&, const Align32&) { return true; }
+};
+using WordArray = std::vector<SweepWord, Align32<SweepWord>>;
+
+/// Per-item fixup sites for the compiled sweep: the slotted (injected)
+/// combinational gates of every lane, grouped by level. Rebuilt per item.
 struct CompiledFixups {
   std::vector<std::vector<nl::GateId>> by_level;  // sized max_level + 1
   std::vector<std::uint32_t> levels;              // touched levels, sorted
 
   void rebuild(const nl::CompiledNetlist& cn, const nl::Netlist& netlist,
-               const PairInjections& inj) {
+               const SweepInjections& inj) {
     for (std::uint32_t lvl : levels) by_level[lvl].clear();
     levels.clear();
     if (by_level.size() < static_cast<std::size_t>(cn.lv.max_level) + 1) {
@@ -58,16 +99,16 @@ struct CompiledFixups {
   }
 };
 
-/// Fault-aware sweep state for two groups in lock-step: one PairWord per
-/// gate (plus CompiledNetlist's always-zero slot) and the injection
-/// table of both lanes. It is also the PortIo the environment drives and
-/// observes, as in DESIGN.md §5: inputs are broadcast into both lanes,
-/// outputs are read from bit 63 of lane 0. Both lanes' bit 63 is the
-/// same good machine (injections never touch it), so one environment
-/// serves the pair.
-class PairSweep final : public sim::PortIo {
+/// Fault-aware sweep state for up to four groups in lock-step: one
+/// SweepWord per gate (plus CompiledNetlist's always-zero slot) and the
+/// injection table of every lane. It is also the PortIo the environment
+/// drives and observes, as in DESIGN.md §5: inputs are broadcast into
+/// every lane, outputs are read from bit 63 of lane 0. Every lane's bit
+/// 63 is the same good machine (injections never touch it), so one
+/// environment serves all four.
+class LaneSweep final : public sim::PortIo {
  public:
-  PairSweep(const nl::Netlist& netlist, const nl::CompiledNetlist& cn)
+  LaneSweep(const nl::Netlist& netlist, const nl::CompiledNetlist& cn)
       : netlist_(&netlist),
         cn_(&cn),
         v_(netlist.size() + 1),
@@ -79,23 +120,23 @@ class PairSweep final : public sim::PortIo {
   void set_input(const nl::Port& port, std::uint64_t value) override {
     for (int i = 0; i < port.width(); ++i) {
       v_[port.bits[static_cast<std::size_t>(i)]] =
-          ((value >> i) & 1u) ? ~PairWord{} : PairWord{};
+          ((value >> i) & 1u) ? ~SweepWord{} : SweepWord{};
     }
   }
 
   std::uint64_t read_output(const nl::Port& port) const override {
     std::uint64_t out = 0;
     for (int i = 0; i < port.width(); ++i) {
-      const PairWord w = v_[port.bits[static_cast<std::size_t>(i)]];
+      const SweepWord& w = v_[port.bits[static_cast<std::size_t>(i)]];
       out |= ((w[0] >> 63) & 1u) << i;
     }
     return out;
   }
 
-  /// The pair's injections: lane l's fault i owns machine bit 64*l + i.
-  PairInjections& injections() { return inj_; }
+  /// The item's injections: lane l's fault i owns machine bit 64*l + i.
+  SweepInjections& injections() { return inj_; }
 
-  /// Starts a pair after its injections were added: collects the fixup
+  /// Starts an item after its injections were added: collects the fixup
   /// sites, loads reset state and applies the state injections.
   void start() {
     fixups_.rebuild(*cn_, *netlist_, inj_);
@@ -108,112 +149,113 @@ class PairSweep final : public sim::PortIo {
     for (nl::GateId g = 0; g < netlist_->size(); ++g) {
       const nl::Gate& gate = netlist_->gate(g);
       switch (gate.kind) {
-        case nl::GateKind::kConst0: v_[g] = PairWord{}; break;
-        case nl::GateKind::kConst1: v_[g] = ~PairWord{}; break;
-        case nl::GateKind::kInput:  v_[g] = PairWord{}; break;
+        case nl::GateKind::kConst0: v_[g] = SweepWord{}; break;
+        case nl::GateKind::kConst1: v_[g] = ~SweepWord{}; break;
+        case nl::GateKind::kInput:  v_[g] = SweepWord{}; break;
         case nl::GateKind::kDff:
-          v_[g] = gate.reset_val ? ~PairWord{} : PairWord{};
+          v_[g] = gate.reset_val ? ~SweepWord{} : SweepWord{};
           break;
         default: break;
       }
     }
-    v_[cn_->zero_slot] = PairWord{};
+    v_[cn_->zero_slot] = SweepWord{};
     apply_state_injections();
   }
 
   /// Evaluates the combinational logic of the driven cycle with
-  /// input-branch and output-stem forcing on the injected gates.
-  void eval() {
+  /// input-branch and output-stem forcing on the injected gates: the
+  /// branch-free compiled runs, with the handful of injected gates
+  /// re-evaluated at the end of their level (their consumers sit at
+  /// strictly higher levels, so the fixup lands before anything reads
+  /// the forced word).
+  SBST_SWEEP_CLONES void eval() {
     apply_state_injections();
-    eval_compiled();
+    const nl::CompiledNetlist& cn = *cn_;
+    SweepWord* const v = v_.data();
+    if (fixups_.levels.empty()) {
+      for (const nl::CompiledRun& r : cn.runs) nl::eval_run(cn, r, v);
+      return;
+    }
+    const auto slot_of = [&cn](nl::GateId d) {
+      return d < cn.num_gates ? d : cn.zero_slot;
+    };
+    std::size_t fx = 0;
+    const std::uint32_t num_levels = cn.lv.max_level + 1;
+    for (std::uint32_t lvl = 0; lvl < num_levels; ++lvl) {
+      for (std::uint32_t r = cn.level_run_begin[lvl];
+           r < cn.level_run_begin[lvl + 1]; ++r) {
+        nl::eval_run(cn, cn.runs[r], v);
+      }
+      if (fx < fixups_.levels.size() && fixups_.levels[fx] == lvl) {
+        for (nl::GateId g : fixups_.by_level[lvl]) {
+          const nl::Gate& gate = netlist_->gate(g);
+          const SweepForce& f = inj_.force_record(inj_.slot(g));
+          const SweepWord a = (v[slot_of(gate.in[0])] | f.set[1]) & ~f.clr[1];
+          const SweepWord b = (v[slot_of(gate.in[1])] | f.set[2]) & ~f.clr[2];
+          const SweepWord c = (v[slot_of(gate.in[2])] | f.set[3]) & ~f.clr[3];
+          SweepWord w;
+          sim::eval_gate_to(gate.kind, a, b, c, w);
+          v[g] = (w | f.set[0]) & ~f.clr[0];
+        }
+        ++fx;
+      }
+    }
   }
 
   /// Detection words: per lane, the machines whose primary outputs
   /// differ from the lane's good machine (bit 63, which reads 0 here).
-  PairWord po_diff(const std::vector<nl::GateId>& po_bits) const {
-    PairWord diff{};
-    const PairWord* const v = v_.data();
+  SBST_SWEEP_CLONES std::array<Word, kLanes> po_diff(
+      const std::vector<nl::GateId>& po_bits) const {
+    SweepWord diff{};
+    const SweepWord* const v = v_.data();
     for (nl::GateId b : po_bits) {
-      const PairWord w = v[b];
-      diff |= w ^ (PairWord{} - (w >> 63));  // good bit across the lane
+      const SweepWord w = v[b];
+      diff |= w ^ (SweepWord{} - (w >> 63));  // good bit across the lane
     }
-    return diff;
+    std::array<Word, kLanes> lanes;
+    for (int l = 0; l < kLanes; ++l) lanes[l] = diff[l];
+    return lanes;
   }
 
   /// Clocks DFFs with D-pin fault forcing, then re-applies Q-output
   /// faults.
-  void step_clock() {
+  SBST_SWEEP_CLONES void step_clock() {
     const std::size_t num_dffs = cn_->dff_gate.size();
     const nl::GateId* const q = cn_->dff_gate.data();
     const std::uint32_t* const d = cn_->dff_d.data();
-    PairWord* const v = v_.data();
-    for (std::size_t i = 0; i < num_dffs; ++i) next_[i] = v[d[i]];
+    SweepWord* const v = v_.data();
+    SweepWord* const next = next_.data();
+    for (std::size_t i = 0; i < num_dffs; ++i) next[i] = v[d[i]];
     for (const auto& [i, slot] : d_forces_) {
-      const PairForce& f = inj_.force_record(slot);
-      next_[i] = (next_[i] | f.set[1]) & ~f.clr[1];
+      const SweepForce& f = inj_.force_record(slot);
+      next[i] = (next[i] | f.set[1]) & ~f.clr[1];
     }
-    for (std::size_t i = 0; i < num_dffs; ++i) v[q[i]] = next_[i];
+    for (std::size_t i = 0; i < num_dffs; ++i) v[q[i]] = next[i];
     for (const auto& f : inj_.dff_q()) {
-      v[f.gate] = detail::force(v[f.gate], f.mask, f.stuck);
+      detail::force(v[f.gate], f.mask, f.stuck);
     }
   }
 
  private:
   /// Stuck-at forcing on source gates (PIs, constants) and DFF outputs;
   /// runs after inputs are driven / DFFs updated.
-  void apply_state_injections() {
-    PairWord* const v = v_.data();
+  [[gnu::always_inline]] void apply_state_injections() {
+    SweepWord* const v = v_.data();
     for (const auto& i : inj_.sources()) {
-      v[i.gate] = detail::force(v[i.gate], i.mask, i.stuck);
+      detail::force(v[i.gate], i.mask, i.stuck);
     }
     for (const auto& i : inj_.dff_q()) {
-      v[i.gate] = detail::force(v[i.gate], i.mask, i.stuck);
-    }
-  }
-
-  /// Compiled sweep: branch-free per-run evaluation, with the handful of
-  /// injected gates re-evaluated interpretively at the end of their level
-  /// (their consumers sit at strictly higher levels, so the fixup lands
-  /// before anything reads the forced word).
-  void eval_compiled() {
-    const nl::CompiledNetlist& cn = *cn_;
-    PairWord* const v = v_.data();
-    if (fixups_.levels.empty()) {
-      for (const nl::CompiledRun& r : cn.runs) nl::eval_run(cn, r, v);
-    } else {
-      auto rd = [&](nl::GateId d) -> PairWord {
-        return d < cn.num_gates ? v[d] : PairWord{};
-      };
-      std::size_t fx = 0;
-      const std::uint32_t num_levels = cn.lv.max_level + 1;
-      for (std::uint32_t lvl = 0; lvl < num_levels; ++lvl) {
-        for (std::uint32_t r = cn.level_run_begin[lvl];
-             r < cn.level_run_begin[lvl + 1]; ++r) {
-          nl::eval_run(cn, cn.runs[r], v);
-        }
-        if (fx < fixups_.levels.size() && fixups_.levels[fx] == lvl) {
-          for (nl::GateId g : fixups_.by_level[lvl]) {
-            const nl::Gate& gate = netlist_->gate(g);
-            const PairForce& f = inj_.force_record(inj_.slot(g));
-            const PairWord a = (rd(gate.in[0]) | f.set[1]) & ~f.clr[1];
-            const PairWord b = (rd(gate.in[1]) | f.set[2]) & ~f.clr[2];
-            const PairWord c = (rd(gate.in[2]) | f.set[3]) & ~f.clr[3];
-            const PairWord w = sim::eval_gate(gate.kind, a, b, c);
-            v[g] = (w | f.set[0]) & ~f.clr[0];
-          }
-          ++fx;
-        }
-      }
+      detail::force(v[i.gate], i.mask, i.stuck);
     }
   }
 
   const nl::Netlist* netlist_;
   const nl::CompiledNetlist* cn_;
-  std::vector<PairWord> v_;
-  std::vector<PairWord> next_;  // DFF sampling scratch
-  PairInjections inj_;
+  WordArray v_;
+  WordArray next_;  // DFF sampling scratch
+  SweepInjections inj_;
   CompiledFixups fixups_;
-  /// D-pin-injected DFFs of the pair: (DFF index, injection slot).
+  /// D-pin-injected DFFs of the item: (DFF index, injection slot).
   std::vector<std::pair<std::size_t, std::uint32_t>> d_forces_;
 };
 
@@ -262,6 +304,9 @@ constexpr int kFaultsPerGroup = 63;
 static_assert(kFaultsPerGroup < 64,
               "bit 63 of the simulation word is reserved for the good "
               "machine");
+static_assert(kLanes * kFaultsPerGroup <= SweepInjections::kMaxSlots,
+              "the injection slot table must hold every lane's forced "
+              "gates");
 
 }  // namespace
 
@@ -269,24 +314,22 @@ static_assert(kFaultsPerGroup < 64,
 
 GroupPlan::GroupPlan(const nl::FaultList& faults,
                      const FaultSimOptions& options)
-    : num_faults_(faults.size()) {
+    : num_faults_(faults.size()), num_active_(faults.size()) {
   if (options.sample != 0 && options.sample < faults.size()) {
-    active_ =
+    sampled_ =
         choose_sample(faults.size(), options.sample, options.sample_seed);
-  } else {
-    active_.resize(faults.size());
-    for (std::size_t i = 0; i < faults.size(); ++i) active_[i] = i;
+    num_active_ = sampled_.size();
   }
 }
 
 std::size_t GroupPlan::num_groups() const {
-  return (active_.size() + kFaultsPerGroup - 1) / kFaultsPerGroup;
+  return (num_active_ + kFaultsPerGroup - 1) / kFaultsPerGroup;
 }
 
 std::uint32_t GroupPlan::group_count(std::size_t group) const {
   const std::size_t base = group * kFaultsPerGroup;
   return static_cast<std::uint32_t>(
-      std::min<std::size_t>(kFaultsPerGroup, active_.size() - base));
+      std::min<std::size_t>(kFaultsPerGroup, num_active_ - base));
 }
 
 FaultSimResult GroupPlan::make_result() const {
@@ -304,8 +347,9 @@ FaultSimResult GroupPlan::make_result() const {
 void GroupPlan::apply(const GroupRecord& rec, FaultSimResult* res) const {
   const std::size_t base =
       static_cast<std::size_t>(rec.group) * kFaultsPerGroup;
+  const ActiveFaults active = this->active();
   for (std::uint32_t i = 0; i < rec.count; ++i) {
-    const std::size_t fi = active_[base + i];
+    const std::size_t fi = active[base + i];
     res->simulated[fi] = 1;
     if ((rec.detected_mask >> i) & 1) {
       res->detected[fi] = 1;
@@ -348,7 +392,7 @@ struct GroupSimulator::Impl {
   std::array<std::uint64_t, nl::kNumCompiledOps> sweep_kinds_per_cycle = {
       0, 0, 0, 0};
   // Sweep state, built on the first swept group.
-  std::optional<PairSweep> sweep;
+  std::optional<LaneSweep> sweep;
   // Event-engine state: the campaign-shared trace source (null = sweep),
   // the differential kernel and its injection table built on first
   // successful trace fetch, and a latch that pins the sweep fallback
@@ -383,7 +427,7 @@ struct GroupSimulator::Impl {
   /// Adds `group`'s faults to `inj`, fault i on machine bit first_bit + i.
   template <class Table>
   void inject(std::size_t group, int first_bit, Table* inj) const {
-    const std::vector<std::size_t>& active = plan.active();
+    const GroupPlan::ActiveFaults active = plan.active();
     const std::size_t base = group * kFaultsPerGroup;
     const int count = static_cast<int>(plan.group_count(group));
     for (int i = 0; i < count; ++i) {
@@ -416,19 +460,20 @@ void GroupSimulator::Impl::simulate_event(const KernelDeadlines& deadlines,
   rec->engine_used = GroupEngine::kEvent;
 }
 
-/// Sweeps `lanes` (1 or 2) groups in lock-step under one environment.
+/// Sweeps `lanes` (1 to 4) groups in lock-step under one environment.
 /// Each lane keeps its own detection and stops counting once its group
 /// is fully detected, so its record is exactly what a lone run gives;
-/// the pair ends when every lane is done, the environment halts or
-/// max_cycles is reached. A lone group runs in lane 0 of a pair.
+/// the item ends when every lane is done, the environment halts or
+/// max_cycles is reached. A lone group runs in lane 0, its other lanes
+/// idle.
 void GroupSimulator::Impl::simulate_sweep(const KernelDeadlines& deadlines,
                                           GroupRecord* recs, int lanes) {
   if (!sweep) sweep.emplace(netlist, *compiled);
-  PairSweep& st = *sweep;
+  LaneSweep& st = *sweep;
   st.injections().clear();
-  std::array<Word, kLanes> all_mask = {0, 0};
-  std::array<Word, kLanes> detected = {0, 0};
-  std::array<bool, kLanes> live = {false, false};
+  std::array<Word, kLanes> all_mask{};
+  std::array<Word, kLanes> detected{};
+  std::array<bool, kLanes> live{};
   for (int l = 0; l < lanes; ++l) {
     inject(recs[l].group, l * kLaneBits, &st.injections());
     all_mask[l] = (Word{1} << recs[l].count) - 1;  // count <= 63
@@ -474,7 +519,7 @@ void GroupSimulator::Impl::simulate_sweep(const KernelDeadlines& deadlines,
     env->drive(st, cycle);
     st.eval();
 
-    const PairWord diff = st.po_diff(po_bits);
+    const std::array<Word, kLanes> diff = st.po_diff(po_bits);
     for (int l = 0; l < lanes; ++l) {
       if (!live[l]) continue;
       const Word new_bits = diff[l] & all_mask[l] & ~detected[l];
@@ -520,8 +565,8 @@ void GroupSimulator::Impl::simulate(const std::size_t* groups, int n,
 
   const Clock::time_point started = Clock::now();
   for (int i = 0; i < n; ++i) recs[i] = plan.unstarted_record(groups[i]);
-  // group_timeout_ms bounds each simulation from its own start; the two
-  // lanes of a sweep pair start together and share one bound.
+  // group_timeout_ms bounds each simulation from its own start; the
+  // lanes of a sweep item start together and share one bound.
   const auto deadlines = [&] {
     KernelDeadlines d;
     d.active =
@@ -584,11 +629,15 @@ GroupRecord GroupSimulator::simulate(std::size_t group) {
   return rec;
 }
 
-std::array<GroupRecord, 2> GroupSimulator::simulate_pair(std::size_t a,
-                                                         std::size_t b) {
-  const std::size_t groups[2] = {a, b};
-  std::array<GroupRecord, 2> recs;
-  impl_->simulate(groups, 2, recs.data());
+std::vector<GroupRecord> GroupSimulator::simulate_lanes(
+    std::span<const std::size_t> groups) {
+  if (groups.empty() || groups.size() > kSweepLanes) {
+    throw std::invalid_argument("simulate_lanes takes 1 to " +
+                                std::to_string(kSweepLanes) + " groups");
+  }
+  std::vector<GroupRecord> recs(groups.size());
+  impl_->simulate(groups.data(), static_cast<int>(groups.size()),
+                  recs.data());
   return recs;
 }
 
@@ -645,22 +694,21 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
 
   // Thread-safe progress: groups complete out of order across workers,
   // but the reported count is monotonic and ends at num_groups (fewer on
-  // a cancelled run). The same mutex serializes the on_group checkpoint
-  // hook so journal appends never interleave.
+  // a cancelled run): it is counted under the mutex that serializes the
+  // reports. The same mutex serializes the on_group checkpoint hook so
+  // journal appends never interleave.
   std::atomic<std::size_t> groups_done{0};
   std::atomic<std::size_t> groups_seeded{0};
   std::atomic<std::uint64_t> good_cycles{0};
   std::mutex hook_mutex;
   auto report_progress = [&](bool seeded) {
+    std::lock_guard<std::mutex> lock(hook_mutex);
     Progress p;
     p.seeded = seeded ? groups_seeded.fetch_add(1) + 1
                       : groups_seeded.load(std::memory_order_relaxed);
     p.done = groups_done.fetch_add(1) + 1;
     p.total = schedule.size();  // shard-local: ETA rates this shard only
-    if (options.progress) {
-      std::lock_guard<std::mutex> lock(hook_mutex);
-      options.progress(p);
-    }
+    if (options.progress) options.progress(p);
   };
 
   // Splices a group outcome into the result arrays and folds its work
@@ -683,10 +731,11 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
     }
   };
 
-  // Resolves one work item of up to two groups. Each group is seeded
+  // Resolves one work item of up to four groups. Each group is seeded
   // from storage or expired against the campaign deadline on its own;
-  // the rest are simulated together, as one sweep pair when two remain,
-  // or one at a time by the simulate_group hook when it is set.
+  // the rest are simulated together (one sweep pass for all of them),
+  // or by the simulate_group hook when it is set (items are then single
+  // groups).
   // Seeded groups are not re-journaled; simulated and deadline-expired
   // ones go through on_group. Telemetry charges each simulated group an
   // equal share of the item's simulation wall time, so per-group
@@ -713,7 +762,7 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
   };
   auto process_item = [&](GroupSimulator& sim, unsigned worker,
                           const std::size_t* groups, std::size_t n) {
-    std::array<std::size_t, 2> to_simulate{};
+    std::array<std::size_t, kSweepLanes> to_simulate{};
     std::size_t num_simulate = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t group = groups[i];
@@ -746,25 +795,24 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
     if (trace_source) trace_source->get();
     const Clock::time_point started =
         timed ? Clock::now() : Clock::time_point();
-    std::array<GroupRecord, 2> recs;
-    if (num_simulate == 2) {
-      recs = sim.simulate_pair(to_simulate[0], to_simulate[1]);
-    } else if (options.simulate_group) {
-      recs[0] = options.simulate_group(sim, worker, to_simulate[0]);
-    } else {
-      recs[0] = sim.simulate(to_simulate[0]);
-    }
+    const std::vector<GroupRecord> recs =
+        options.simulate_group
+            ? std::vector<GroupRecord>{options.simulate_group(
+                  sim, worker, to_simulate[0])}
+            : sim.simulate_lanes({to_simulate.data(), num_simulate});
     for (std::size_t k = 0; k < num_simulate; ++k) commit(recs[k], false);
     const double ms =
         timed ? ms_since(started) / static_cast<double>(num_simulate) : 0.0;
     for (std::size_t k = 0; k < num_simulate; ++k) report(recs[k], false, ms);
   };
 
-  // Work items: consecutive pairs of the schedule under the sweep (one
-  // pass of the netlist advances both groups), single groups under the
-  // event engine and under the simulate_group hook.
+  // Work items: up to four consecutive groups of the schedule under the
+  // sweep (one pass of the netlist advances all of them), single groups
+  // under the event engine and under the simulate_group hook.
   const std::size_t per_item =
-      options.engine == Engine::kSweep && !options.simulate_group ? 2 : 1;
+      options.engine == Engine::kSweep && !options.simulate_group
+          ? kSweepLanes
+          : 1;
   const std::size_t num_items = (schedule.size() + per_item - 1) / per_item;
   auto run_item = [&](GroupSimulator& sim, unsigned worker,
                       std::size_t item) {

@@ -94,10 +94,13 @@ struct CompiledNetlist {
 
 /// Branch-free evaluation of one run over a value array of size
 /// num_gates + 1 (slot zero_slot must hold 0). W is the simulation word:
-/// std::uint64_t for the logic simulator, a GCC/Clang vector pair for
-/// the fault sweep's two 64-machine lanes (bitwise ops lower to SSE2).
+/// std::uint64_t for the logic simulator, a GCC/Clang 256-bit vector for
+/// the fault sweep's four 64-machine lanes. Always inlined, so the
+/// sweep's AVX2 clone gets an AVX2 copy of the loop (`flatten` alone
+/// left it a baseline SSE2 call).
 template <class W>
-inline void eval_run(const CompiledNetlist& cn, const CompiledRun& r, W* v) {
+[[gnu::always_inline]] inline void eval_run(const CompiledNetlist& cn,
+                                           const CompiledRun& r, W* v) {
   const std::uint32_t* const go = cn.node_gate.data();
   const std::uint32_t* const i0 = cn.node_in0.data();
   const std::uint32_t* const i1 = cn.node_in1.data();

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "netlist/compiled.h"
@@ -31,32 +30,40 @@ inline constexpr Word kAllOnes = ~Word{0};
 /// Broadcasts a single logic bit into a simulation word.
 inline Word broadcast(bool b) { return b ? kAllOnes : Word{0}; }
 
-/// Evaluates one gate function over words. W is Word or a wider word
-/// type with bitwise operators (the fault sweep's two-lane pair); the
-/// type is deduced from `a` alone.
+/// Evaluates one gate function over words into `out`. W is Word or the
+/// fault sweep's 256-bit four-lane word, which is handled by reference:
+/// passed by value it would cross between the sweep's AVX2 and baseline
+/// code under two different calling conventions.
 template <class W>
-inline W eval_gate(nl::GateKind k, W a, std::type_identity_t<W> b,
-                   std::type_identity_t<W> c) {
+inline void eval_gate_to(nl::GateKind k, const W& a, const W& b, const W& c,
+                         W& out) {
   using nl::GateKind;
   switch (k) {
-    case GateKind::kBuf:   return a;
-    case GateKind::kNot:   return ~a;
-    case GateKind::kAnd2:  return a & b;
-    case GateKind::kOr2:   return a | b;
-    case GateKind::kNand2: return ~(a & b);
-    case GateKind::kNor2:  return ~(a | b);
-    case GateKind::kXor2:  return a ^ b;
-    case GateKind::kXnor2: return ~(a ^ b);
-    case GateKind::kMux2:  return (a & ~c) | (b & c);
-    default:               return W{};
+    case GateKind::kBuf:   out = a; break;
+    case GateKind::kNot:   out = ~a; break;
+    case GateKind::kAnd2:  out = a & b; break;
+    case GateKind::kOr2:   out = a | b; break;
+    case GateKind::kNand2: out = ~(a & b); break;
+    case GateKind::kNor2:  out = ~(a | b); break;
+    case GateKind::kXor2:  out = a ^ b; break;
+    case GateKind::kXnor2: out = ~(a ^ b); break;
+    case GateKind::kMux2:  out = (a & ~c) | (b & c); break;
+    default:               out = W{}; break;
   }
+}
+
+/// Evaluates one gate function over 64-bit words.
+inline Word eval_gate(nl::GateKind k, Word a, Word b, Word c) {
+  Word w;
+  eval_gate_to(k, a, b, c, w);
+  return w;
 }
 
 /// The port-level view a closed-loop environment (fault::Environment,
 /// a testbench) has of a simulation: it drives input ports with scalar
 /// values broadcast to every machine, and reads output ports of the
 /// good machine (machine 63). LogicSim implements it, and so does the
-/// fault sweep's two-lane state, so one environment serves both.
+/// fault sweep's four-lane state, so one environment serves both.
 class PortIo {
  public:
   virtual const nl::Netlist& netlist() const = 0;

@@ -200,9 +200,9 @@ TEST(CampaignTelemetry, ResumedCampaignReplaysSeededCountersVerbatim) {
 // succeed group carries the consumed attempts and the dead attempt's
 // rusage, and a quarantined group's metric reports rusage across every
 // attempt — work the campaign spent even though no verdict came back.
-// In-process sweep campaigns simulate groups in pairs, --isolate workers
-// one at a time: the counter lines of `sbst stats` must not tell the two
-// apart.
+// In-process sweep campaigns simulate up to four groups per pass,
+// --isolate workers one at a time: the counter lines of `sbst stats` must
+// not tell the two apart.
 TEST(CampaignTelemetry, PairedSweepCounterLinesMatchUnpairedIsolate) {
   const auto& fx = fixture();
   const auto counter_lines = [&](bool isolate) {

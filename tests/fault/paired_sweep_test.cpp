@@ -1,12 +1,13 @@
-// The paired-sweep contract: under Engine::kSweep, run_fault_sim sweeps
-// two groups per 128-bit word under one environment, and every record it
-// produces equals a lone GroupSimulator::simulate(g) of that group, field
-// by field, at every thread count. Covered: lanes that finish early while
-// their partner runs on, a trailing lone group (odd group counts), pairs
-// split by a group seeded from a journal, stem and branch faults on
-// BUFs (checked against mutant netlists under both engines), an
-// environment halt that stops both lanes, a group_timeout_ms cut, and
-// the per-group time charged to each half of a pair.
+// The multi-lane sweep contract: under Engine::kSweep, run_fault_sim
+// sweeps up to four groups per 256-bit word under one environment, and
+// every record it produces equals a lone GroupSimulator::simulate(g) of
+// that group, field by field, at every thread count. Covered: lanes that
+// finish early while others run on, trailing items of one, two and three
+// groups, items split by groups seeded from a journal, stem and branch
+// faults on BUFs in every lane (checked against mutant netlists under
+// both engines), an environment halt that stops every lane, a
+// group_timeout_ms cut, the equal share of an item's time charged to
+// each of its groups, and the injection table's capacity for four lanes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,8 @@
 #include <cstdio>
 #include <map>
 #include <random>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "campaign/journal.h"
 #include "fault/faultsim.h"
 #include "fault/good_trace.h"
+#include "fault/injection.h"
 #include "netlist/fault.h"
 #include "parwan/sbst.h"
 #include "parwan/testbench.h"
@@ -146,7 +150,8 @@ std::vector<GroupRecord> lone_records(const nl::Netlist& n,
   return out;
 }
 
-/// Records of a run_fault_sim sweep campaign (paired), indexed by group.
+/// Records of a run_fault_sim sweep campaign (groups swept together in
+/// items of up to four), indexed by group.
 std::vector<GroupRecord> paired_records(const nl::Netlist& n,
                                         const nl::FaultList& fl,
                                         const EnvFactory& env,
@@ -170,6 +175,22 @@ bool fully_detected(const GroupRecord& r) {
   return r.detected_mask == (std::uint64_t{1} << r.count) - 1;
 }
 
+/// True when some item of `lone` (consecutive runs of kSweepLanes
+/// groups) has a lane fully detected before another lane of it ended.
+bool has_early_lane(const std::vector<GroupRecord>& lone) {
+  for (std::size_t g = 0; g < lone.size(); g += kSweepLanes) {
+    const std::size_t end = std::min(g + kSweepLanes, lone.size());
+    for (std::size_t a = g; a < end; ++a) {
+      for (std::size_t b = g; b < end; ++b) {
+        if (fully_detected(lone[a]) && lone[a].cycles < lone[b].cycles) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
 TEST(FaultSimParallel, PairedSweepMatchesLoneGroupsOnRandomNetlists) {
   bool early_lane = false;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -178,23 +199,18 @@ TEST(FaultSimParallel, PairedSweepMatchesLoneGroupsOnRandomNetlists) {
     FaultSimOptions opt;
     opt.max_cycles = 400;
     opt.threads = 1;
-    // An odd group count leaves the last group without a partner.
+    // A group count that is not a multiple of four leaves a short last
+    // item.
     std::size_t groups = GroupPlan(fl, opt).num_groups();
-    if (groups % 2 == 0) {
+    if (groups % kSweepLanes == 0) {
       opt.sample = (groups - 1) * 63 - 7;
       groups = GroupPlan(fl, opt).num_groups();
     }
-    ASSERT_GE(groups, 3u) << "seed " << seed;
-    ASSERT_EQ(groups % 2, 1u) << "seed " << seed;
+    ASSERT_GE(groups, kSweepLanes + 1) << "seed " << seed;
+    ASSERT_NE(groups % kSweepLanes, 0u) << "seed " << seed;
     const EnvFactory env = hash_env(300);
     const std::vector<GroupRecord> lone = lone_records(n, fl, env, opt);
-    for (std::size_t g = 0; g + 1 < lone.size(); g += 2) {
-      for (int l = 0; l < 2; ++l) {
-        const GroupRecord& a = lone[g + l];
-        const GroupRecord& b = lone[g + 1 - l];
-        if (fully_detected(a) && a.cycles < b.cycles) early_lane = true;
-      }
-    }
+    early_lane = early_lane || has_early_lane(lone);
     for (unsigned threads : {1u, 2u, 3u, 4u}) {
       opt.threads = threads;
       expect_same_records(lone, paired_records(n, fl, env, opt),
@@ -203,7 +219,71 @@ TEST(FaultSimParallel, PairedSweepMatchesLoneGroupsOnRandomNetlists) {
     }
   }
   EXPECT_TRUE(early_lane)
-      << "no pair had a lane fully detected before its partner ended";
+      << "no item had a lane fully detected before another lane ended";
+}
+
+// Items of one, two, three and four groups: the groups of each item are
+// picked so their lanes finish at different cycles. Every lane's record
+// equals its group's lone run, and campaigns whose last item holds one
+// to four groups give the event engine's verdicts at 1 and 3 threads.
+TEST(FaultSimParallel, QuadSweepItemsOfOneToFourGroupsMatchLoneRuns) {
+  const parwan::ParwanCpu cpu = parwan::build_parwan_cpu();
+  const parwan::ParwanSelfTest st = parwan::build_parwan_selftest();
+  ASSERT_TRUE(st.halted);
+  const nl::Netlist& n = cpu.netlist;
+  const nl::FaultList fl = nl::enumerate_faults(n);
+  const EnvFactory env = parwan::make_parwan_env_factory(cpu, st.image);
+  FaultSimOptions opt;
+  opt.max_cycles = 10000;
+  const std::vector<GroupRecord> lone = lone_records(n, fl, env, opt);
+
+  // One group per distinct finishing cycle, early finishers first.
+  std::map<std::uint64_t, std::size_t> by_cycles;
+  for (const GroupRecord& r : lone) by_cycles.emplace(r.cycles, r.group);
+  ASSERT_GE(by_cycles.size(), kSweepLanes)
+      << "too few distinct finishing cycles";
+  std::vector<std::size_t> picked;
+  for (const auto& [cycles, group] : by_cycles) {
+    if (picked.size() < kSweepLanes) picked.push_back(group);
+  }
+  ASSERT_TRUE(fully_detected(lone[picked[0]]));
+
+  const GroupPlan plan(fl, opt);
+  GroupSimulator sim(n, fl, plan, env, opt);
+  for (std::size_t k = 1; k <= kSweepLanes; ++k) {
+    // Reversed, so the lane that finishes first is not always lane 0.
+    std::vector<std::size_t> groups(picked.begin(), picked.begin() + k);
+    std::reverse(groups.begin(), groups.end());
+    const std::vector<GroupRecord> recs = sim.simulate_lanes(groups);
+    ASSERT_EQ(recs.size(), k);
+    for (std::size_t l = 0; l < k; ++l) {
+      expect_same_record(lone[groups[l]], recs[l],
+                         std::to_string(k) + "-group item, lane " +
+                             std::to_string(l));
+    }
+  }
+
+  ASSERT_GT(fl.size(), 2 * kSweepLanes * 63);
+  for (std::size_t last = 1; last <= kSweepLanes; ++last) {
+    FaultSimOptions sampled = opt;
+    sampled.sample = (kSweepLanes + last) * 63 - 5;
+    ASSERT_EQ(GroupPlan(fl, sampled).num_groups(), kSweepLanes + last);
+    const std::vector<GroupRecord> ref = lone_records(n, fl, env, sampled);
+    for (unsigned threads : {1u, 3u}) {
+      const std::string what = "last item of " + std::to_string(last) +
+                               ", " + std::to_string(threads) + " threads";
+      sampled.threads = threads;
+      expect_same_records(ref, paired_records(n, fl, env, sampled), what);
+      sampled.engine = Engine::kSweep;
+      const FaultSimResult swept = run_fault_sim(n, fl, env, sampled);
+      sampled.engine = Engine::kEvent;
+      const FaultSimResult evented = run_fault_sim(n, fl, env, sampled);
+      EXPECT_FALSE(evented.trace_fallback) << what;
+      EXPECT_EQ(swept.simulated, evented.simulated) << what;
+      EXPECT_EQ(swept.detected, evented.detected) << what;
+      EXPECT_EQ(swept.detect_cycle, evented.detect_cycle) << what;
+    }
+  }
 }
 
 TEST(FaultSimParallel, PairedSweepMatchesLoneGroupsOnParwanFullList) {
@@ -254,10 +334,11 @@ std::int64_t mutant_detect_cycle(const nl::Netlist& good,
 }
 
 // Every BUF keeps a compiled node, so stem and branch faults on BUFs run
-// the compiled sweep with fixups at BUF levels. Each verdict, under both
-// engines, must match a mutant netlist whose BUF reads the stuck
-// constant (for a one-input gate, stem and branch faults are the same
-// mutant), and the paired sweep must still give lone-run records.
+// the compiled sweep with fixups at BUF levels, in all four lanes of the
+// first item. Each verdict, under both engines, must match a mutant
+// netlist whose BUF reads the stuck constant (for a one-input gate, stem
+// and branch faults are the same mutant), and the multi-lane sweep must
+// still give lone-run records.
 TEST(FaultSimParallel, BufFaultsMatchMutantNetlists) {
   std::size_t checked = 0;
   std::size_t detected = 0;
@@ -271,14 +352,24 @@ TEST(FaultSimParallel, BufFaultsMatchMutantNetlists) {
                         {{g, 0, 0}, {g, 0, 1}, {g, 1, 0}, {g, 1, 1}});
     }
     ASSERT_FALSE(buf_faults.empty());
-    // Spliced in at 40, the BUF faults span both lanes of the first pair.
-    constexpr std::size_t kAt = 40;
+    // Spread over the first 4 x 63 positions, the BUF faults land in
+    // every lane of the first item. Each is inserted after the previous
+    // one, so the earlier positions stay put.
     nl::FaultList fl = nl::enumerate_faults(n);
-    ASSERT_GT(fl.size(), kAt);
-    fl.faults.insert(fl.faults.begin() + kAt, buf_faults.begin(),
-                     buf_faults.end());
-    fl.class_size.insert(fl.class_size.begin() + kAt, buf_faults.size(), 1);
+    const std::size_t stride =
+        std::max<std::size_t>(1, kSweepLanes * 63 / buf_faults.size());
+    std::vector<std::size_t> at;
+    std::set<std::size_t> lanes;
+    for (std::size_t i = 0; i < buf_faults.size(); ++i) {
+      const std::size_t pos = i * stride;
+      ASSERT_LE(pos, fl.size());
+      fl.faults.insert(fl.faults.begin() + pos, buf_faults[i]);
+      fl.class_size.insert(fl.class_size.begin() + pos, 1);
+      at.push_back(pos);
+      if (pos / 63 < kSweepLanes) lanes.insert(pos / 63);
+    }
     fl.total_uncollapsed += buf_faults.size();
+    ASSERT_EQ(lanes.size(), kSweepLanes);
 
     FaultSimOptions opt;
     opt.max_cycles = 400;
@@ -297,12 +388,12 @@ TEST(FaultSimParallel, BufFaultsMatchMutantNetlists) {
         nl::Netlist mutant = n;
         mutant.set_gate_input(f.gate, 0,
                               f.stuck ? mutant.const1() : mutant.const0());
-        EXPECT_EQ(res.detect_cycle[kAt + i],
+        EXPECT_EQ(res.detect_cycle[at[i]],
                   mutant_detect_cycle(n, mutant, env, opt.max_cycles))
             << "BUF " << f.gate << " pin " << int{f.pin} << " stuck-at "
             << int{f.stuck};
         ++checked;
-        detected += res.detected[kAt + i];
+        detected += res.detected[at[i]];
       }
     }
 
@@ -318,8 +409,8 @@ TEST(FaultSimParallel, BufFaultsMatchMutantNetlists) {
   EXPECT_LT(detected, checked) << "no undetected BUF fault was checked";
 }
 
-// The environment halts at cycle 12, long before the groups finish: both
-// lanes of every pair stop there together, each with a lone run's record.
+// The environment halts at cycle 12, long before the groups finish: every
+// lane of every item stops there together, each with a lone run's record.
 TEST(FaultSimParallel, PairedSweepHaltStopsBothLanes) {
   const nl::Netlist n = make_random_seq_netlist(3);
   const nl::FaultList fl = nl::enumerate_faults(n);
@@ -328,11 +419,13 @@ TEST(FaultSimParallel, PairedSweepHaltStopsBothLanes) {
   opt.max_cycles = 400;
   const EnvFactory env = hash_env(kHalt);
   const std::vector<GroupRecord> lone = lone_records(n, fl, env, opt);
-  std::size_t halted_pairs = 0;
-  for (std::size_t g = 0; g + 1 < lone.size(); g += 2) {
-    halted_pairs += lone[g].cycles == kHalt && lone[g + 1].cycles == kHalt;
+  std::size_t halted_items = 0;
+  for (std::size_t g = 0; g + kSweepLanes <= lone.size(); g += kSweepLanes) {
+    halted_items += std::all_of(
+        lone.begin() + g, lone.begin() + g + kSweepLanes,
+        [&](const GroupRecord& r) { return r.cycles == kHalt; });
   }
-  ASSERT_GT(halted_pairs, 0u) << "no pair ran both lanes to the halt";
+  ASSERT_GT(halted_items, 0u) << "no item ran every lane to the halt";
   for (unsigned threads : {1u, 2u, 3u, 4u}) {
     opt.threads = threads;
     expect_same_records(lone, paired_records(n, fl, env, opt),
@@ -340,9 +433,9 @@ TEST(FaultSimParallel, PairedSweepHaltStopsBothLanes) {
   }
 }
 
-// group_timeout_ms cuts a pair at the first watchdog check past its
-// bound (cycle 1023 here: drive() naps 40 ms at cycle 1000). Both lanes
-// share the cut, and each record is the lone record of a run ending at
+// group_timeout_ms cuts an item at the first watchdog check past its
+// bound (cycle 1023 here: drive() naps 40 ms at cycle 1000). Every lane
+// shares the cut, and each record is the lone record of a run ending at
 // that cycle, marked timed out unless its group was already done.
 TEST(FaultSimParallel, PairedSweepGroupTimeoutCutsBothLanes) {
   const nl::Netlist n = make_random_seq_netlist(5);
@@ -371,42 +464,86 @@ TEST(FaultSimParallel, PairedSweepGroupTimeoutCutsBothLanes) {
   }
 }
 
-// The two-group entry: the sweep runs both groups in one word, the
-// event kernel one after the other. Both give each group's lone record.
-TEST(FaultSimParallel, PairEntryMatchesLoneRunsUnderBothKernels) {
+// The multi-group entry: the sweep runs all four groups in one word, the
+// event kernel one after the other. Both give each group's lone record,
+// and neither takes an empty or five-group item.
+TEST(FaultSimParallel, LaneEntryMatchesLoneRunsUnderBothKernels) {
   const nl::Netlist n = make_random_seq_netlist(4);
   const nl::FaultList fl = nl::enumerate_faults(n);
   FaultSimOptions opt;
   opt.max_cycles = 400;
   const EnvFactory env = hash_env(300);
   const std::vector<GroupRecord> lone = lone_records(n, fl, env, opt);
-  ASSERT_GE(lone.size(), 3u);
+  ASSERT_GE(lone.size(), 5u);
   const GroupPlan plan(fl, opt);
-  const std::array<std::size_t, 2> groups = {2, 0};
+  const std::array<std::size_t, kSweepLanes> groups = {2, 0, 4, 1};
 
   GroupSimulator sweep(n, fl, plan, env, opt);
-  const std::array<GroupRecord, 2> swept =
-      sweep.simulate_pair(groups[0], groups[1]);
+  const std::vector<GroupRecord> swept = sweep.simulate_lanes(groups);
   // The event kernel's work counters count what it evaluated, so its
-  // pair entry is held to its own lone runs, and its verdicts to the
-  // sweep's.
+  // multi-group entry is held to its own lone runs, and its verdicts to
+  // the sweep's.
   auto trace = std::make_shared<SharedTraceSource>(n, env, opt.max_cycles,
                                                    std::size_t{0});
   GroupSimulator event(n, fl, plan, env, opt, trace);
-  const std::array<GroupRecord, 2> evented =
-      event.simulate_pair(groups[0], groups[1]);
-  for (int l = 0; l < 2; ++l) {
-    expect_same_record(lone[groups[l]], swept[l], "sweep pair entry");
+  const std::vector<GroupRecord> evented = event.simulate_lanes(groups);
+  ASSERT_EQ(swept.size(), kSweepLanes);
+  ASSERT_EQ(evented.size(), kSweepLanes);
+  for (std::size_t l = 0; l < kSweepLanes; ++l) {
+    expect_same_record(lone[groups[l]], swept[l], "sweep lane entry");
     expect_same_record(event.simulate(groups[l]), evented[l],
-                       "event pair entry");
+                       "event lane entry");
     EXPECT_EQ(evented[l].engine_used, GroupEngine::kEvent);
     EXPECT_EQ(evented[l].detect_cycle, lone[groups[l]].detect_cycle);
   }
+  const std::array<std::size_t, kSweepLanes + 1> five = {0, 1, 2, 3, 4};
+  EXPECT_THROW(sweep.simulate_lanes(five), std::invalid_argument);
+  EXPECT_THROW(sweep.simulate_lanes({}), std::invalid_argument);
 }
 
-// Resume splits a pair: the journaled group is seeded, its partner is
-// simulated alone, and the journal ends up holding lone-run records for
-// every group.
+// Four lanes force at most 4 x 63 = 252 distinct gates, inside the
+// byte-indexed slot table's 255. Each lane's forces stay in its own
+// lane, the table fills to kMaxSlots, and one gate more throws.
+TEST(FaultSimParallel, FourLaneInjectionTableTakes252ForcedGates) {
+  using Quad = std::uint64_t __attribute__((vector_size(32)));
+  using Table = detail::InjectionTableT<Quad>;
+  nl::Netlist n;
+  const nl::GateId in = n.add_input("in", 1).bits[0];
+  std::vector<nl::GateId> gates;
+  for (std::size_t i = 0; i <= Table::kMaxSlots; ++i) {
+    gates.push_back(n.add_gate(nl::GateKind::kNot, in));
+  }
+  Table table(n.size());
+  for (int lane = 0; lane < 4; ++lane) {
+    for (int i = 0; i < 63; ++i) {
+      const nl::Fault f{gates[static_cast<std::size_t>(lane * 63 + i)], 0,
+                        static_cast<std::uint8_t>(i & 1)};
+      table.add(n, f, 64 * lane + i);
+    }
+  }
+  ASSERT_EQ(table.slotted_gates().size(), 252u);
+  for (int lane = 0; lane < 4; ++lane) {
+    for (int i = 0; i < 63; ++i) {
+      const nl::GateId g = gates[static_cast<std::size_t>(lane * 63 + i)];
+      const auto& force = table.force_record(table.slot(g));
+      const Quad& forced = (i & 1) ? force.set[0] : force.clr[0];
+      for (int l = 0; l < 4; ++l) {
+        EXPECT_EQ(forced[l], l == lane ? std::uint64_t{1} << i : 0u)
+            << "lane " << lane << " fault " << i;
+      }
+    }
+  }
+  for (std::size_t k = 252; k < Table::kMaxSlots; ++k) {
+    table.add(n, nl::Fault{gates[k], 0, 1}, 0);
+  }
+  EXPECT_EQ(table.slotted_gates().size(), Table::kMaxSlots);
+  EXPECT_THROW(table.add(n, nl::Fault{gates[Table::kMaxSlots], 0, 1}, 0),
+               std::length_error);
+}
+
+// Resume splits items: journaled groups are seeded, the rest of their
+// item is simulated without them, and the journal ends up holding
+// lone-run records for every group.
 TEST(FaultSimParallel, PairedSweepResumesPairsWithOneJournaledGroup) {
   const parwan::ParwanCpu cpu = parwan::build_parwan_cpu();
   const parwan::ParwanSelfTest st = parwan::build_parwan_selftest();
@@ -450,9 +587,10 @@ TEST(FaultSimParallel, PairedSweepResumesPairsWithOneJournaledGroup) {
   }
 }
 
-// Each simulated group of a pair is charged half the pair's wall time,
-// so the per-group durations of a campaign sum to at most its busy time.
-TEST(FaultSimParallel, PairedSweepChargesEachGroupHalfThePair) {
+// Each simulated group of an item is charged an equal share of the
+// item's wall time, so the per-group durations of a campaign sum to at
+// most its busy time.
+TEST(FaultSimParallel, PairedSweepChargesEachGroupAnEqualShare) {
   const nl::Netlist n = make_random_seq_netlist(2);
   const nl::FaultList fl = nl::enumerate_faults(n);
   FaultSimOptions opt;
@@ -484,8 +622,8 @@ TEST(FaultSimParallel, PairedSweepChargesEachGroupHalfThePair) {
       EXPECT_GT(d, 0.0) << "group " << group;
       sum += d;
     }
-    for (std::uint64_t g = 0; g + 1 < groups; g += 2) {
-      EXPECT_EQ(ms[g], ms[g + 1]) << "pair " << g;
+    for (std::uint64_t g = 0; g < groups; ++g) {
+      EXPECT_EQ(ms[g], ms[g - g % kSweepLanes]) << "group " << g;
     }
     EXPECT_LE(sum, threads * wall_ms);
     expect_same_records(lone, paired, "timed");
