@@ -139,9 +139,9 @@ CampaignResult run_campaign(const nl::Netlist& netlist,
     }
   };
 
-  // --isolate changes only how a group is executed: the engine's pool
-  // stays the scheduler, and each pool thread hands its groups to its
-  // own forked worker. Every worker is reaped when `workers` goes out of
+  // --isolate changes only how a group is executed: the engine's
+  // parallel_for stays the scheduler, and each worker thread hands its
+  // groups to its own forked worker. Every worker is reaped when `workers` goes out of
   // scope, whether the engine returns or throws.
   std::optional<IsolatedWorkers> workers;
   if (options.isolate) {

@@ -166,6 +166,24 @@ std::size_t journal_file_bytes(const JournalLoad& loaded) {
          loaded.dropped_bytes;
 }
 
+/// Positions in `records` (file order) of the winning — latest — record
+/// per group, ordered by group.
+std::vector<std::size_t> winner_positions(
+    const std::vector<fault::GroupRecord>& records) {
+  std::unordered_map<std::uint64_t, std::size_t> latest;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    latest[records[i].group] = i;  // later file position wins
+  }
+  std::vector<std::size_t> positions;
+  positions.reserve(latest.size());
+  for (const auto& [group, pos] : latest) positions.push_back(pos);
+  std::sort(positions.begin(), positions.end(),
+            [&](std::size_t a, std::size_t b) {
+              return records[a].group < records[b].group;
+            });
+  return positions;
+}
+
 }  // namespace
 
 std::string encode_record_payload(const fault::GroupRecord& rec) {
@@ -260,17 +278,8 @@ std::string encode_journal(const JournalMeta& meta,
 
 std::vector<fault::GroupRecord> winning_records(
     const std::vector<fault::GroupRecord>& records) {
-  std::unordered_map<std::uint64_t, std::size_t> latest;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    latest[records[i].group] = i;  // later file position wins
-  }
   std::vector<fault::GroupRecord> winners;
-  winners.reserve(latest.size());
-  for (const auto& [group, idx] : latest) winners.push_back(records[idx]);
-  std::sort(winners.begin(), winners.end(),
-            [](const fault::GroupRecord& a, const fault::GroupRecord& b) {
-              return a.group < b.group;
-            });
+  for (std::size_t i : winner_positions(records)) winners.push_back(records[i]);
   return winners;
 }
 
@@ -431,18 +440,11 @@ MergeStats merge_journals(const std::vector<std::string>& inputs,
     }
   }
   stats.records_in = all.size();
-  std::unordered_map<std::uint64_t, std::size_t> latest;
-  for (std::size_t i = 0; i < all.size(); ++i) latest[all[i].group] = i;
   std::vector<fault::GroupRecord> winners;
-  winners.reserve(latest.size());
-  for (const auto& [group, idx] : latest) {
-    winners.push_back(all[idx]);
-    ++stats.inputs[source[idx]].winners;
+  for (std::size_t pos : winner_positions(all)) {
+    winners.push_back(std::move(all[pos]));
+    ++stats.inputs[source[pos]].winners;
   }
-  std::sort(winners.begin(), winners.end(),
-            [](const fault::GroupRecord& a, const fault::GroupRecord& b) {
-              return a.group < b.group;
-            });
   stats.records_out = winners.size();
   util::write_file_atomic(out, encode_journal(stats.meta, winners),
                           durability);

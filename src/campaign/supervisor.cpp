@@ -21,7 +21,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// A worker's whole life. It is forked from a pool thread, so it may
+/// A worker's whole life. It is forked from a worker thread, so it may
 /// touch only its inherited GroupSimulator, its pipe and _exit: a lock
 /// another thread held at the fork (hook mutex, journal, telemetry,
 /// stdio) stays held forever in the child. The simulator was never used

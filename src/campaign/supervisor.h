@@ -7,12 +7,12 @@
 // environment that leaks until the OOM killer fires, an infinite loop —
 // takes the whole campaign (and its journal writer) down with it.
 // Isolation contains that blast radius to one worker process, and only
-// replaces how a group is executed: run_fault_sim's thread pool stays
+// replaces how a group is executed: run_fault_sim's parallel_for stays
 // the one group scheduler (shard schedule, journal seeding, deadline
 // expiry, record folding, progress), and IsolatedWorkers is installed as
 // its FaultSimOptions::simulate_group hook.
 //
-//   * a worker is forked from its pool thread's never-used GroupSimulator
+//   * a worker is forked from its worker thread's never-used GroupSimulator
 //     after the good trace was fetched, so it inherits the compiled
 //     netlist and the trace copy-on-write instead of rebuilding them;
 //   * workers run under RLIMIT_AS (IsolateOptions::worker_mem_mb) and,
@@ -57,7 +57,7 @@ class IsolatedWorkers {
   IsolatedWorkers(const IsolatedWorkers&) = delete;
   IsolatedWorkers& operator=(const IsolatedWorkers&) = delete;
 
-  /// Simulates `group` in pool worker `worker`'s process, forking it
+  /// Simulates `group` in worker thread `worker`'s process, forking it
   /// from `pristine` when it has none. Blocks until a record arrives or
   /// the worker dies (crash, OOM, or a SIGKILL at the hang deadline); a
   /// dead worker is reaped and respawned and the group retried, and
@@ -97,7 +97,7 @@ class IsolatedWorkers {
   /// Grace before a busy worker counts as hung and is SIGKILLed
   /// (0 = never).
   std::chrono::milliseconds hang_grace_;
-  std::vector<Worker> workers_;  // one slot per pool worker
+  std::vector<Worker> workers_;  // one slot per worker thread
   /// Held from pipe() until the parent closed the child's pipe ends, so
   /// no other worker is forked holding them (EOF must mean death).
   std::mutex spawn_mutex_;

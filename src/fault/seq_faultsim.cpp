@@ -821,40 +821,24 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
                  std::min(per_item, schedule.size() - first));
   };
 
-  unsigned threads =
+  // Each worker lazily builds its own simulator (its sweep state and
+  // injection tables are allocated on first use).
+  const unsigned threads =
       options.threads == 0 ? util::hardware_threads() : options.threads;
-  threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(num_items, 1)));
-
-  if (threads <= 1) {
-    GroupSimulator sim(netlist, faults, plan, make_env, options,
-                       trace_source, compiled);
-    sim.set_run_deadline(run_deadline);
-    for (std::size_t item = 0; item < num_items; ++item) {
-      if (options.cancel &&
-          options.cancel->load(std::memory_order_relaxed)) {
-        break;
-      }
-      run_item(sim, 0, item);
-    }
-  } else {
-    // Each worker lazily builds its own simulator (its sweep state and
-    // injection tables are allocated on first use).
-    util::ThreadPool pool(threads);
-    std::vector<std::unique_ptr<GroupSimulator>> workers(pool.size());
-    pool.run(
-        num_items,
-        [&](std::size_t item, unsigned w) {
-          if (!workers[w]) {
-            workers[w] = std::make_unique<GroupSimulator>(
-                netlist, faults, plan, make_env, options, trace_source,
-                compiled);
-            workers[w]->set_run_deadline(run_deadline);
-          }
-          run_item(*workers[w], w, item);
-        },
-        options.cancel);
-  }
+  std::vector<std::unique_ptr<GroupSimulator>> workers(
+      std::min<std::size_t>(threads, num_items));
+  util::parallel_for(
+      threads, num_items,
+      [&](std::size_t item, unsigned w) {
+        if (!workers[w]) {
+          workers[w] = std::make_unique<GroupSimulator>(
+              netlist, faults, plan, make_env, options, trace_source,
+              compiled);
+          workers[w]->set_run_deadline(run_deadline);
+        }
+        run_item(*workers[w], w, item);
+      },
+      options.cancel);
   res.gates_evaluated = agg_gates.load(std::memory_order_relaxed);
   res.sim_cycles = agg_cycles.load(std::memory_order_relaxed);
 

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/comb_faultsim.h"
@@ -192,6 +196,47 @@ TEST(FaultSimParallel, ProgressReportsEveryGroupMonotonically) {
     EXPECT_EQ(calls, groups) << threads << " threads";
     EXPECT_EQ(last_done, groups) << threads << " threads";
     EXPECT_TRUE(monotonic) << threads << " threads";
+  }
+}
+
+// An exception thrown inside a work item leaves run_fault_sim at every
+// thread count, and no item that starts after it reaches the hooks.
+TEST(FaultSimParallel, WorkItemExceptionStopsTheRun) {
+  const parwan::ParwanCpu cpu = parwan::build_parwan_cpu();
+  const parwan::ParwanSelfTest st = parwan::build_parwan_selftest();
+  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
+  for (unsigned threads : {1u, 4u}) {
+    FaultSimOptions opt;
+    opt.max_cycles = 10000;
+    opt.sample = 630;  // 10 groups: more items than workers
+    opt.threads = threads;
+    std::atomic<std::size_t> calls{0};
+    std::atomic<bool> thrown{false};
+    std::atomic<std::size_t> calls_after{0};
+    // The first call hands back a record for the wrong group; every
+    // other call outlasts the throw by far, so a call after it can only
+    // come from an item already in flight on another worker.
+    opt.seed_group = [&](std::uint64_t group, GroupRecord* out) {
+      if (calls++ == 0) {
+        out->group = group + 1;
+        thrown.store(true);
+        return true;
+      }
+      if (thrown.load()) ++calls_after;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      return false;
+    };
+    try {
+      run_fault_sim(cpu.netlist, faults,
+                    parwan::make_parwan_env_factory(cpu, st.image), opt);
+      ADD_FAILURE() << threads << " threads: no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "fault-sim seed record does not match group"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_LT(calls_after.load(), threads) << threads << " threads";
   }
 }
 

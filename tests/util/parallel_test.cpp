@@ -3,28 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace sbst::util {
 namespace {
 
-TEST(ThreadPool, HardwareThreadsIsPositive) {
+TEST(ParallelFor, HardwareThreadsIsPositive) {
   EXPECT_GE(hardware_threads(), 1u);
 }
 
-TEST(ThreadPool, ZeroSelectsHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), hardware_threads());
-}
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
+TEST(ParallelFor, RunsEveryTaskExactlyOnce) {
   for (unsigned threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    constexpr std::size_t kTasks = 257;  // not a multiple of any pool size
+    constexpr std::size_t kTasks = 257;  // not a multiple of any count
     std::vector<std::atomic<int>> hits(kTasks);
-    pool.run(kTasks, [&](std::size_t task, unsigned) { ++hits[task]; });
+    parallel_for(threads, kTasks,
+                 [&](std::size_t task, unsigned) { ++hits[task]; });
     for (std::size_t i = 0; i < kTasks; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "task " << i << ", " << threads
                                    << " threads";
@@ -32,116 +28,97 @@ TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, EmptyTaskListReturnsImmediately) {
-  ThreadPool pool(4);
+TEST(ParallelFor, EmptyTaskListReturnsImmediately) {
   bool called = false;
-  pool.run(0, [&](std::size_t, unsigned) { called = true; });
+  parallel_for(4, 0, [&](std::size_t, unsigned) { called = true; });
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPool, WorkerIndexInRange) {
-  ThreadPool pool(3);
-  std::atomic<bool> ok{true};
-  pool.run(100, [&](std::size_t, unsigned worker) {
-    if (worker >= pool.size()) ok = false;
+TEST(ParallelFor, OneThreadRunsInlineOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t next = 0;
+  bool ok = true;
+  parallel_for(1, 50, [&](std::size_t task, unsigned worker) {
+    // Inline means in order, as worker 0, on this very thread.
+    if (task != next++ || worker != 0 ||
+        std::this_thread::get_id() != caller) {
+      ok = false;
+    }
   });
   EXPECT_TRUE(ok);
+  EXPECT_EQ(next, 50u);
 }
 
-TEST(ThreadPool, ExceptionPropagatesFromWorker) {
-  for (unsigned threads : {1u, 4u}) {
-    ThreadPool pool(threads);
-    EXPECT_THROW(
-        pool.run(50,
-                 [](std::size_t task, unsigned) {
-                   if (task == 17) throw std::runtime_error("task 17 failed");
-                 }),
-        std::runtime_error)
-        << threads << " threads";
-  }
-}
-
-TEST(ThreadPool, ReusableAfterException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.run(8,
-                        [](std::size_t, unsigned) {
-                          throw std::runtime_error("boom");
-                        }),
-               std::runtime_error);
-  // The pool must still run subsequent jobs to completion.
-  std::atomic<std::size_t> count{0};
-  pool.run(64, [&](std::size_t, unsigned) { ++count; });
-  EXPECT_EQ(count.load(), 64u);
-}
-
-TEST(ThreadPool, ReusableAcrossManyRuns) {
-  ThreadPool pool(2);
-  std::atomic<std::size_t> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.run(10, [&](std::size_t, unsigned) { ++total; });
-  }
-  EXPECT_EQ(total.load(), 500u);
-}
-
-// Tiny runs back to back leave most workers waking after their run is
-// already done; none of them may execute a task against the next run's
-// job, and under -fsanitize=thread none may read its fields unordered.
-TEST(ThreadPool, BackToBackRunsNeverMixJobs) {
-  ThreadPool pool(4);
-  std::atomic<int> current{-1};
-  std::atomic<int> foreign{0};
-  for (int run = 0; run < 2000; ++run) {
-    const std::size_t tasks = 1 + static_cast<std::size_t>(run) % 3;
-    std::atomic<std::size_t> calls{0};
-    current.store(run);
-    pool.run(tasks, [&, run](std::size_t, unsigned) {
-      if (current.load() != run) ++foreign;
-      ++calls;
+TEST(ParallelFor, WorkerIndexInRange) {
+  for (std::size_t tasks : {2u, 100u}) {
+    // Never more workers than tasks, whatever the thread count asked.
+    const unsigned bound = tasks < 3 ? static_cast<unsigned>(tasks) : 3u;
+    std::atomic<bool> ok{true};
+    parallel_for(3, tasks, [&](std::size_t, unsigned worker) {
+      if (worker >= bound) ok = false;
     });
-    ASSERT_EQ(calls.load(), tasks) << "run " << run;
+    EXPECT_TRUE(ok) << tasks << " tasks";
   }
-  EXPECT_EQ(foreign.load(), 0);
 }
 
-TEST(ThreadPool, CancelSetBeforeRunExecutesNothing) {
+TEST(ParallelFor, ExceptionPropagatesFromWorker) {
   for (unsigned threads : {1u, 4u}) {
-    ThreadPool pool(threads);
+    // Task 0 throws at once; every other task outlasts the throw by far,
+    // so a task starting after it can only be one already claimed.
+    std::atomic<bool> thrown{false};
+    std::atomic<std::size_t> started_after{0};
+    EXPECT_THROW(parallel_for(threads, 100,
+                              [&](std::size_t task, unsigned) {
+                                if (task == 0) {
+                                  thrown.store(true);
+                                  throw std::runtime_error("task 0 failed");
+                                }
+                                if (thrown.load()) ++started_after;
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(10));
+                              }),
+                 std::runtime_error)
+        << threads << " threads";
+    EXPECT_LT(started_after.load(), threads) << threads << " threads";
+  }
+}
+
+TEST(ParallelFor, CancelSetBeforeRunExecutesNothing) {
+  for (unsigned threads : {1u, 4u}) {
     std::atomic<bool> cancel{true};
     std::atomic<std::size_t> executed{0};
-    pool.run(
-        100, [&](std::size_t, unsigned) { ++executed; }, &cancel);
+    parallel_for(
+        threads, 100, [&](std::size_t, unsigned) { ++executed; }, &cancel);
     EXPECT_EQ(executed.load(), 0u) << threads << " threads";
   }
 }
 
-TEST(ThreadPool, CancelMidRunDrainsInFlightTasksOnly) {
+TEST(ParallelFor, CancelMidRunDrainsInFlightTasksOnly) {
   for (unsigned threads : {1u, 4u}) {
-    ThreadPool pool(threads);
     std::atomic<bool> cancel{false};
     std::atomic<std::size_t> executed{0};
     constexpr std::size_t kTasks = 1000;
-    pool.run(
-        kTasks,
+    parallel_for(
+        threads, kTasks,
         [&](std::size_t task, unsigned) {
           ++executed;
           if (task == 5) cancel.store(true);
         },
         &cancel);
-    // run() returned normally; after the flag no new task started, so at
-    // most the in-flight tasks (one per worker) completed on top.
+    // parallel_for returned normally; after the flag no new task started,
+    // so at most the in-flight tasks (one per worker) completed on top.
     EXPECT_GE(executed.load(), 1u) << threads << " threads";
     EXPECT_LT(executed.load(), kTasks) << threads << " threads";
   }
 }
 
-TEST(ThreadPool, SerialCancelIsExactlyBounded) {
+TEST(ParallelFor, SerialCancelIsExactlyBounded) {
   // With one worker the drain point is deterministic: the task that sets
   // the flag is the last one to run.
-  ThreadPool pool(1);
   std::atomic<bool> cancel{false};
   std::size_t executed = 0;
-  pool.run(
-      100,
+  parallel_for(
+      1, 100,
       [&](std::size_t task, unsigned) {
         ++executed;
         if (task == 6) cancel.store(true);
@@ -150,22 +127,13 @@ TEST(ThreadPool, SerialCancelIsExactlyBounded) {
   EXPECT_EQ(executed, 7u);
 }
 
-TEST(ThreadPool, ReusableAfterCancel) {
-  ThreadPool pool(4);
-  std::atomic<bool> cancel{true};
-  pool.run(16, [](std::size_t, unsigned) {}, &cancel);
-  std::atomic<std::size_t> count{0};
-  pool.run(64, [&](std::size_t, unsigned) { ++count; });
-  EXPECT_EQ(count.load(), 64u);
-}
-
-TEST(ThreadPool, PerWorkerStateStaysDisjoint) {
+TEST(ParallelFor, PerWorkerStateStaysDisjoint) {
   // Each worker index owns a scratch slot; concurrent tasks must never
   // observe another worker mutating their slot mid-task.
-  ThreadPool pool(4);
-  std::vector<int> scratch(pool.size(), 0);
+  constexpr unsigned kThreads = 4;
+  std::vector<int> scratch(kThreads, 0);
   std::atomic<bool> torn{false};
-  pool.run(200, [&](std::size_t, unsigned w) {
+  parallel_for(kThreads, 200, [&](std::size_t, unsigned w) {
     const int before = ++scratch[w];
     if (scratch[w] != before) torn = true;
   });

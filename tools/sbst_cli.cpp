@@ -37,7 +37,7 @@
 //                                      simulation kernel (default: event,
 //                                      the differential engine; sweep is
 //                                      the full per-cycle re-evaluation,
-//                                      two groups per pass) —
+//                                      four groups per pass) —
 //                                      both produce bit-identical grades,
 //                                      and journals mix freely across
 //                                      engines. --trace-mem-mb caps the
@@ -413,13 +413,15 @@ int cmd_grade(int argc, char** argv) {
   bool progress = false;
   bool retry_timeouts = false;
   bool isolate = false;
-  unsigned max_group_retries = 2;
+  unsigned max_group_retries = 0;  // 0 = not given (the flag rejects 0)
   std::size_t worker_mem_mb = 0;
   // Test hooks for the isolation machinery (CI kills a designated group's
   // worker to prove retry/quarantine end to end). Deliberately undocumented
   // in the usage header.
-  std::uint64_t crash_group = std::numeric_limits<std::uint64_t>::max();
-  unsigned crash_attempts = 0;
+  constexpr std::uint64_t kNoCrashGroup =
+      std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t crash_group = kNoCrashGroup;
+  unsigned crash_attempts = 0;  // 0 = not given: every attempt aborts
   std::string journal;
   std::string out;
   std::string engine = "event";
@@ -448,13 +450,16 @@ int cmd_grade(int argc, char** argv) {
                        .value_count("--max-group-retries", &max_group_retries)
                        .value_size("--worker-mem-mb", &worker_mem_mb)
                        .value_u64("--crash-group", &crash_group)
-                       .value_unsigned("--crash-attempts", &crash_attempts)
+                       .value_count("--crash-attempts", &crash_attempts)
                        .value("-o", &out)
                        .parse(1, 1);
-  if (!isolate && (worker_mem_mb != 0 ||
-                   crash_group != std::numeric_limits<std::uint64_t>::max())) {
-    throw util::ArgError(
-        "--worker-mem-mb/--crash-group only apply to --isolate");
+  if (!isolate && (worker_mem_mb != 0 || max_group_retries != 0 ||
+                   crash_group != kNoCrashGroup)) {
+    throw util::ArgError("--worker-mem-mb/--max-group-retries/--crash-group "
+                         "only apply to --isolate");
+  }
+  if (crash_attempts != 0 && crash_group == kNoCrashGroup) {
+    throw util::ArgError("--crash-attempts only applies with --crash-group");
   }
   unsigned shard_index = 0, shard_count = 0;
   if (!shard.empty()) {
@@ -477,7 +482,7 @@ int cmd_grade(int argc, char** argv) {
   copt.retry_timed_out = retry_timeouts;
   copt.handle_signals = true;
   copt.isolate = isolate;
-  copt.iso.max_group_retries = max_group_retries;
+  if (max_group_retries != 0) copt.iso.max_group_retries = max_group_retries;
   copt.iso.worker_mem_mb = worker_mem_mb;
   copt.telemetry.metrics_path = metrics;
   copt.telemetry.status_path = status;
@@ -485,7 +490,7 @@ int cmd_grade(int argc, char** argv) {
   // heals/compactions, metrics and status rewrites.
   copt.durability = util::parse_durability(durability);
   copt.telemetry.durability = copt.durability;
-  if (crash_group != std::numeric_limits<std::uint64_t>::max()) {
+  if (crash_group != kNoCrashGroup) {
     copt.iso.crash_group = static_cast<std::int64_t>(crash_group);
     if (crash_attempts != 0) copt.iso.crash_attempts = crash_attempts;
   }
